@@ -4,13 +4,13 @@
     python3 perfbench/freeze.py --verify   # recompute and compare only
 
 coeff32: the digest of coefficient_for_gram(system_gram(rs), 32), the
-full-Gram Jordan path, for every system of the pool the seeded samples
-come from.  head32: one digest per 50-row chunk of the full window's
-(system, mass) rows.  emb24: one digest per stratum of the full dim-24
-pull table, so any seeded choice of strata can be checked.  The committed
-file was recorded at the seed commit of the benchmark; rewrite it only
-after a change that is meant to alter these outputs.  Takes about two
-minutes.
+full-Gram Jordan path, for every system of the full-size set.  head32:
+one digest per 50-row chunk of the full window's (system, mass) rows.
+emb24: one digest per stratum of the full dim-24 pull table, so the
+strata of any size can be checked.  The committed file was recorded with
+an unchanged src/ from the seed commit of the benchmark; rewrite it only
+after a change that is meant to alter these outputs, or one that changes
+the benchmark's inputs.  Takes about a minute.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ def compute() -> dict:
     null = tracing.NullTracer()
     coeff = {
         str(rs): wl.digest([str(coefficient_for_gram(system_gram(rs), 32))])
-        for systems in wl.coeff32_pool().values()
-        for rs in systems
+        for rs in wl.coeff32_setup(0, wl.SIZES["full"])["systems"]
     }
 
     head = wl.head32_setup(0, wl.SIZES["full"])

@@ -1,12 +1,17 @@
 """One cold round of a benchmark workload, in a fresh interpreter.
 
     python3 perfbench/round.py --workload W --seed N --trace 0|1 \
-        --spawned T --out FILE [--size full|smoke] [--corrupt]
+        --spawned T --out FILE [--size full|smoke] [--corrupt] [--setup-only]
 
 ``--spawned`` is the parent's ``perf_counter()`` just before it started
 this process (CLOCK_MONOTONIC is shared between processes), so set-up
 time covers interpreter start, ``import latmass`` and input generation.
-The round writes one JSON object to ``--out``; run.py aggregates rounds.
+With ``--setup-only`` the round stops there and reports only that time.
+
+A speed probe (probe.py) runs from the start of the round to the end of
+its timed section, and every time the round reports is measured on the
+probe's nominal timeline; the raw times are reported next to them.  The
+round writes one JSON object to ``--out``; run.py aggregates rounds.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ import resource
 import sys
 from pathlib import Path
 from time import perf_counter
+
+import probe
+
+PROBE = probe.Probe()
+PROBE.start()
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -47,11 +57,21 @@ def main() -> None:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--size", choices=sorted(workloads.SIZES), default="full")
     ap.add_argument("--corrupt", action="store_true")
+    ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args()
 
+    PROBE.dump_dir = args.out.with_suffix(".probes")
     workload = workloads.WORKLOADS[args.workload]
     inputs = workload.setup(args.seed, workloads.SIZES[args.size])
-    setup_s = perf_counter() - args.spawned
+    setup_end = perf_counter()
+    if args.setup_only:
+        PROBE.stop()
+        clock = PROBE.clock()
+        args.out.write_text(json.dumps({
+            "setup_s": clock(setup_end) - clock(args.spawned),
+            "raw_setup_s": setup_end - args.spawned,
+        }))
+        return
 
     dump_dir = args.out.with_suffix(".workers")
     if args.trace:
@@ -63,12 +83,22 @@ def main() -> None:
 
     cpu0 = children_cpu_s()
     t0 = perf_counter()
-    outputs, items, progresses = workload.run(inputs, tracer)
-    wall_s = perf_counter() - t0
+    outputs, item_times, progresses = workload.run(inputs, tracer)
+    t1 = perf_counter()
     pool_cpu_s = children_cpu_s() - cpu0
+    if args.trace:
+        marks = tracer.calibrate()
+    PROBE.stop()
+    worker_samples = PROBE.worker_samples()
+    clock = PROBE.clock(worker_samples)
 
     layers = None
     if args.trace:
+        for span in tracer.spans:
+            span[1], span[2] = clock(span[1]), clock(span[2])
+        for p in progresses:
+            p.marks = [clock(t) for t in p.marks]
+        c0, c1, c2 = map(clock, marks)
         reduced = outputs.get("reduced")
         extra = {
             "memo_entries": len(getattr(embeddings, "_MEMO", ())),
@@ -76,10 +106,13 @@ def main() -> None:
             "pool_cpu_s": pool_cpu_s,
             "pull_terms": sum(p.pull_terms for p in progresses),
             "nonzero_masses": sum(p.nonzero for p in progresses),
+            "span_cost_s": ((c2 - c1) - (c1 - c0)) / tracing.CALIBRATION_CALLS,
         }
         spans = tracer.spans
         solves = [i for i, s in enumerate(spans) if s[0] == "solver.solve" and s[3] < 0]
         workers = tracer.worker_dumps()
+        for span in (s for w in workers for s in w["spans"]):
+            span[1], span[2] = clock(span[1]), clock(span[2])
         layers = tracing.layer_metrics(
             spans,
             tracer.counts,
@@ -102,9 +135,13 @@ def main() -> None:
         "workload": args.workload,
         "seed": args.seed,
         "trace": args.trace,
-        "setup_s": setup_s,
-        "wall_s": wall_s,
-        "items": items,
+        "setup_s": clock(setup_end) - clock(args.spawned),
+        "wall_s": clock(t1) - clock(t0),
+        "items": [clock(b) - clock(a) for a, b in item_times],
+        "raw_setup_s": setup_end - args.spawned,
+        "raw_wall_s": t1 - t0,
+        "probes": [len(PROBE.own()), sum(len(w) for w in worker_samples)],
+        "probe_s": PROBE.busy_s(),
         "peak_rss_mb": peak_rss_mb(),
         "attempted": attempted,
         "failed": failed,

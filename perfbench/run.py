@@ -6,12 +6,24 @@
 Each round runs in a fresh interpreter (perfbench/round.py), so it pays
 interpreter start, ``import latmass`` and cold caches, as a command-line
 user does.  Rounds repeat until ``--seconds`` have passed (at least
-MIN_ROUNDS of them); every round of a run gets the same seeded inputs.
+MIN_ROUNDS of them, of each kind); every round of a run gets the same
+inputs.  With ``--trace 0``, SETUP_ONLY set-up-only rounds go before each
+round: each starts a fresh interpreter, sets up and exits, so setup_s is
+a median over three times as many set-ups.
+
+Every time a round reports is measured at a nominal machine speed: a
+probe samples the speed of the processor all through the round and the
+round's timestamps are mapped to a timeline that runs at nominal speed
+(see probe.py).  The raw figures are kept in the record.
 
 With ``--trace 0`` the run reports the end-to-end metrics as medians over
 its rounds.  With ``--trace 1`` it alternates untraced and traced rounds
-and reports the per-layer metrics (medians over the traced rounds) plus
-``trace.overhead_s``, the traced minus the untraced median wall time.
+and reports the per-layer metrics, medians over the traced rounds, among
+them ``trace.overhead_s``: the spans a round recorded times the cost of
+one span, which the round measures on a no-op.  The difference between
+traced and untraced wall times is in the record too, as
+``traced_minus_untraced_s``, but it is below the remaining noise on most
+workloads.
 
 Output checks run after each round's timed section; ``attempted`` and
 ``failed`` count them, and fail_ratio = failed / attempted.  The last line
@@ -42,6 +54,7 @@ ROOT = HERE.parent
 OUT = HERE / "out"
 WORKLOADS = ("solve16", "coeff32", "head32", "emb24")
 MIN_ROUNDS = {"full": 3, "smoke": 2}
+SETUP_ONLY = 2  # set-up-only rounds before each untraced round
 RUN_LIMIT_S = 170  # a run ends within this many seconds, or fails
 PERCENTILES = (50, 90, 95, 99, 99.5, 99.9)
 
@@ -99,7 +112,7 @@ def provenance(args, rounds) -> dict:
     }
 
 
-def run_round(args, mode: int, index: int, timeout: float) -> dict:
+def run_round(args, mode: int, index: str, timeout: float, setup_only: bool = False) -> dict:
     out = OUT / f"{args.workload}-s{args.seed}-t{args.trace}-r{index}.json"
     cmd = [
         sys.executable, str(HERE / "round.py"),
@@ -108,6 +121,8 @@ def run_round(args, mode: int, index: int, timeout: float) -> dict:
     ]
     if args.corrupt:
         cmd.append("--corrupt")
+    if setup_only:
+        cmd.append("--setup-only")
     cmd += ["--spawned", repr(perf_counter())]
     # own process group, so that a timeout can stop the round's pool workers too
     proc = subprocess.Popen(
@@ -127,41 +142,43 @@ def run_round(args, mode: int, index: int, timeout: float) -> dict:
     return result
 
 
-def run_rounds(args) -> list[dict]:
+def run_rounds(args) -> tuple[list[dict], list[dict]]:
+    """The full rounds, and the set-up-only rounds."""
     modes = (0, 1) if args.trace else (0,)
     rounds: list[dict] = []
+    setups: list[dict] = []
     start = perf_counter()
     while True:
         elapsed = perf_counter() - start
         longest = max((r["round_s"] for r in rounds), default=0.0)
-        if rounds and (elapsed >= args.seconds and len(rounds) >= MIN_ROUNDS[args.size]):
+        if rounds and (elapsed >= args.seconds and len(rounds) >= MIN_ROUNDS[args.size] * len(modes)):
             break
         if rounds and elapsed + longest > RUN_LIMIT_S:
             break
         t0 = perf_counter()
         mode = modes[len(rounds) % len(modes)]
-        result = run_round(args, mode, len(rounds), RUN_LIMIT_S - elapsed)
+        for _ in range(0 if args.trace else SETUP_ONLY):
+            setups.append(run_round(args, 0, f"s{len(setups)}", RUN_LIMIT_S - elapsed, setup_only=True))
+        result = run_round(args, mode, str(len(rounds)), RUN_LIMIT_S - (perf_counter() - start))
         result["round_s"] = perf_counter() - t0
         rounds.append(result)
-    return rounds
+    return rounds, setups
 
 
-def e2e_metrics(rounds) -> tuple[dict, dict]:
-    """End-to-end metrics from the untraced rounds.
+def e2e_metrics(rounds, setups) -> tuple[dict, dict]:
+    """End-to-end metrics from the untraced and the set-up-only rounds.
 
-    Every round times the same items in the same order, so each item's
-    median over the rounds drops a slow spell of the machine that hit one
-    round and not the others.  wall_s is the sum of those medians plus the
-    median of the untimed-by-item rest of the round (enumeration, the pool
-    phase, loop overhead); the item percentiles are taken over them too.
+    wall_s and setup_s are medians over the rounds.  Every round times the
+    same items in the same order, so the item percentiles are taken over
+    each item's median over the rounds.
     """
     untraced = [r for r in rounds if not r["trace"]]
+    setup_rounds = untraced + setups
     per_item = sorted(statistics.median(col) for col in zip(*(r["items"] for r in untraced)))
-    rest = statistics.median(r["wall_s"] - sum(r["items"]) for r in untraced)
     tail = tail_percentile(len(per_item))
     metrics = {
-        "wall_s": sum(per_item) + rest,
-        "setup_s": statistics.median(r["setup_s"] for r in untraced),
+        "wall_s": statistics.median(r["wall_s"] for r in untraced),
+        "setup_s": statistics.median(r["setup_s"] for r in setup_rounds),
         "peak_rss_mb": max(r["peak_rss_mb"] for r in untraced),
         "item_p50_ms": percentile(per_item, 50) * 1e3,
         "item_tail_ms": percentile(per_item, tail) * 1e3,
@@ -170,24 +187,29 @@ def e2e_metrics(rounds) -> tuple[dict, dict]:
         "item_tail_percentile": tail,
         "items_per_round": len(per_item),
         "timed_rounds": len(untraced),
+        "raw_wall_s": statistics.median(r["raw_wall_s"] for r in untraced),
+        "raw_setup_s": statistics.median(r["raw_setup_s"] for r in setup_rounds),
+        "setup_samples": len(setup_rounds),
         "round_walls_s": [r["wall_s"] for r in untraced],
     }
     return metrics, notes
 
 
-def layer_metrics(rounds) -> dict:
+def layer_metrics(rounds) -> tuple[dict, dict]:
+    """Per-layer metrics, medians over the traced rounds, and the median
+    difference between each traced round's wall time and that of the
+    untraced round before it."""
     traced = [r["layers"] for r in rounds if r["trace"]]
-    untraced = [r["wall_s"] for r in rounds if not r["trace"]]
     metrics = {
         name: (statistics.median_low if LAYER_UNITS[name] == "count" else statistics.median)(
             t[name] for t in traced
         )
         for name in traced[0]
     }
-    metrics["trace.overhead_s"] = (
-        statistics.median(r["wall_s"] for r in rounds if r["trace"]) - statistics.median(untraced)
+    diff = statistics.median(
+        b["wall_s"] - a["wall_s"] for a, b in zip(rounds, rounds[1:]) if b["trace"] and not a["trace"]
     )
-    return metrics
+    return metrics, {"traced_minus_untraced_s": diff}
 
 
 def main() -> int:
@@ -205,16 +227,18 @@ def main() -> int:
         return 2
     OUT.mkdir(exist_ok=True)
     try:
-        rounds = run_rounds(args)
+        rounds, setups = run_rounds(args)
     except BenchError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
 
     attempted = sum(r["attempted"] for r in rounds)
     failed = sum(r["failed"] for r in rounds)
-    e2e, notes = e2e_metrics(rounds)
+    e2e, notes = e2e_metrics(rounds, setups)
     if args.trace:
-        metrics = {k: {"value": v, "unit": LAYER_UNITS[k]} for k, v in layer_metrics(rounds).items()}
+        layers, trace_notes = layer_metrics(rounds)
+        notes |= trace_notes
+        metrics = {k: {"value": v, "unit": LAYER_UNITS[k]} for k, v in layers.items()}
     else:
         metrics = {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in e2e.items()}
 

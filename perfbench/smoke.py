@@ -11,7 +11,7 @@ For every workload, at the "smoke" input size, it checks that:
   gets which chunk of systems depends on timing);
 - a run with one output deliberately damaged (--corrupt) counts the
   failed check in fail_ratio and reports correct = false.
-Exits 1 on the first failed expectation.  Takes about two minutes.
+Exits 1 on the first failed expectation.  Takes about four minutes.
 """
 
 from __future__ import annotations

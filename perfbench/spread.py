@@ -5,8 +5,9 @@
 Runs perfbench/run.py once per seed and workload (untraced) and prints,
 per metric, the median and the quartile distance (as Python's
 statistics.quantiles(values, n=4) gives it) as a share of the median,
-next to the metric's bound from BENCHMARK.json.  A steady benchmark keeps
-each spread, except that of setup_s, well below its bound.
+next to the metric's bound from BENCHMARK.json; "ok" marks a spread below
+a third of its bound.  A seed may repeat (``--seeds 1,1,1,1,1``), which
+separates the machine's run-to-run noise from the seeds' input variation.
 """
 
 from __future__ import annotations

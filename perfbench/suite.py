@@ -6,7 +6,7 @@ Prints every end-to-end metric (and fail_ratio) from the untraced runs and
 every per-layer metric (and trace.overhead_s) from the traced runs, by
 workload, name and unit.  With --record it also writes the figures and the
 runs' provenance as one trajectory point, e.g.
-perfbench/trajectory/000-seed.json.  Takes about four minutes.
+perfbench/trajectory/000-seed.json.  Takes about five minutes.
 """
 
 from __future__ import annotations

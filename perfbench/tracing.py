@@ -78,6 +78,7 @@ def count_nonzero(counts, result):
 
 
 MEASURES = {"roots.enumerate": count_systems, "embeddings.rep_count": count_nonzero}
+CALIBRATION_CALLS = 20000  # no-op calls timed to find the cost of one span
 
 
 def cache_stats():
@@ -140,6 +141,26 @@ class Tracer:
             return result
 
         return traced
+
+    def calibrate(self) -> tuple[float, float, float]:
+        """Times CALIBRATION_CALLS bare and then as many wrapped calls of a
+        no-op and returns the three perf_counter() marks around them; the
+        spans of the wrapped calls are dropped."""
+
+        def noop():
+            return None
+
+        wrapped = self.wrap("trace.calibrate", noop)
+        first = len(self.spans)
+        t0 = perf_counter()
+        for _ in range(CALIBRATION_CALLS):
+            noop()
+        t1 = perf_counter()
+        for _ in range(CALIBRATION_CALLS):
+            wrapped()
+        t2 = perf_counter()
+        del self.spans[first:]
+        return t0, t1, t2
 
     def install(self):
         from latmass import siegel, solver
@@ -211,7 +232,9 @@ def layer_metrics(spans, counts, caches, workers, solves, extra):
 
     ``workers`` holds the dumps of forked pool workers, ``solves`` the
     (solve span index, progress timestamps) pairs, ``extra`` the counts the
-    workload measured itself (memo size, buckets, pool CPU, pull terms)."""
+    workload measured itself (memo size, buckets, pool CPU, pull terms) and
+    the cost of one span.  The tracing overhead is that cost times the
+    spans recorded, in all processes."""
     sums: dict[str, list] = {}
     all_counts = dict(counts)
     all_caches = {k: list(v) for k, v in caches.items()}
@@ -272,4 +295,5 @@ def layer_metrics(spans, counts, caches, workers, solves, extra):
         "reduction.reduce_s": incl("reduction.reduce"),
         "reduction.bounds_s": incl("reduction.bounds"),
         "reduction.buckets": extra["buckets"],
+        "trace.overhead_s": extra["span_cost_s"] * (len(spans) + sum(len(w["spans"]) for w in workers)),
     }

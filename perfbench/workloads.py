@@ -3,8 +3,9 @@ latmass's public entry points, and the checks of their outputs.
 
 Each workload has ``setup(seed, size) -> inputs`` (timed as set-up),
 ``run(inputs, tracer) -> (outputs, items, progresses)`` (timed as wall;
-items are the per-item seconds behind item_p50_ms / item_tail_ms, and
-progresses the ``Progress`` callback of each solve, in call order) and
+items are the (start, end) ``perf_counter()`` times of the items behind
+item_p50_ms / item_tail_ms, and progresses the ``Progress`` callback of
+each solve, in call order) and
 ``check(inputs, outputs) -> (attempted, failed)``, run after the timed
 section against values recorded at the benchmark's seed commit
 (frozen.json, written by freeze.py).  ``corrupt(outputs)`` damages one
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -32,11 +32,7 @@ SIZES = {
     "full": {"coeff_ranks": range(12, 33), "coeff_per_rank": 14, "head_window": 250, "emb_strata": 16},
     "smoke": {"coeff_ranks": range(12, 15), "coeff_per_rank": 2, "head_window": 50, "emb_strata": 1},
 }
-# coeff32 samples come from this fixed pool; every rank in it has well over
-# COEFF_POOL_PER_RANK distinct root systems
-COEFF_POOL_RANKS = range(12, 33)
-COEFF_POOL_PER_RANK = 40
-COEFF_POOL_SEED = 32
+COEFF_SET_SEED = 32  # fixes the coeff32 systems and their order
 EMB_STRATA = 64  # dim-24 sources are split into this many fixed strata
 HEAD_CHUNK = 50  # head32 rows are digested in chunks of this many
 SOLVE16_WORKERS = 2
@@ -77,8 +73,8 @@ class Progress:
         if self.stop_after is not None and done >= self.stop_after:
             raise WindowDone
 
-    def intervals(self) -> list[float]:
-        return [b - a for a, b in zip(self.marks, self.marks[1:])]
+    def intervals(self) -> list[tuple[float, float]]:
+        return list(zip(self.marks, self.marks[1:]))
 
 
 def frozen() -> dict:
@@ -150,31 +146,21 @@ def random_system(rng: random.Random, rank: int) -> RootSystem:
     return RootSystem.from_parts(parts)
 
 
-def coeff32_pool() -> dict[int, list[RootSystem]]:
-    """The fixed pool coeff32 samples from: COEFF_POOL_PER_RANK distinct
-    random systems at each rank, the same on every run, so that freeze.py
-    can record every value the workload can produce."""
-    rng = random.Random(COEFF_POOL_SEED)
-    pool: dict[int, list[RootSystem]] = {}
-    for rank in COEFF_POOL_RANKS:
-        chosen: dict[RootSystem, None] = {}
-        while len(chosen) < COEFF_POOL_PER_RANK:
-            chosen.setdefault(random_system(rng, rank))
-        pool[rank] = list(chosen)
-    return pool
-
-
 def coeff32_setup(seed, size):
-    """A fixed number of systems at every rank in the size's range, drawn
-    from the pool by the seed, in seeded random order.  Equal counts per
-    rank keep the sample's total cost steady from seed to seed, since cost
-    grows mainly with rank."""
-    rng = random.Random(seed)
-    pool = coeff32_pool()
-    systems = []
+    """The fixed coeff32 set: the first ``coeff_per_rank`` distinct random
+    systems of each rank in ``coeff_ranks``, in a fixed random order.  Each
+    rank has a generator of its own, so a smaller size takes a subset of a
+    larger one.  The seed picks nothing: a seeded order moved the cost
+    between items and with it item_p50_ms by about 10 % from seed to seed,
+    which is wider than the machine's noise; a seeded sample moved wall_s."""
+    systems: list[RootSystem] = []
     for rank in size["coeff_ranks"]:
-        systems += rng.sample(pool[rank], size["coeff_per_rank"])
-    rng.shuffle(systems)
+        rng = random.Random(COEFF_SET_SEED * 1000 + rank)
+        chosen: dict[RootSystem, None] = {}
+        while len(chosen) < size["coeff_per_rank"]:
+            chosen.setdefault(random_system(rng, rank))
+        systems += chosen
+    random.Random(COEFF_SET_SEED).shuffle(systems)
     return {"systems": systems}
 
 
@@ -184,13 +170,13 @@ def coeff32_run(inputs, tracer):
     for rs in inputs["systems"]:
         t0 = perf_counter()
         values.append(coefficient(rs, 32))
-        items.append(perf_counter() - t0)
+        items.append((t0, perf_counter()))
     return {"values": values}, items, []
 
 
 def coeff32_check(inputs, outputs):
     """Each value against coefficient_for_gram(system_gram(rs), 32), the
-    full-Gram Jordan path, as recorded for the whole pool by freeze.py."""
+    full-Gram Jordan path, as recorded for the full-size set by freeze.py."""
     want = frozen()["coeff32"]
     systems, values = inputs["systems"], outputs["values"]
     results = [len(values) == len(systems)]
@@ -238,21 +224,22 @@ def head32_corrupt(outputs):
 # emb24: dim-24 back-substitution traffic against the Niemeier systems
 
 
-def stratum(rs: RootSystem) -> int:
-    return zlib.crc32(str(rs).encode()) % EMB_STRATA
-
-
 def emb24_setup(seed, size, strata=None):
-    """Sources of the seeded strata in descending solve order."""
-    rng = random.Random(seed)
+    """Sources of evenly spaced strata in descending solve order.  Stratum
+    k holds every EMB_STRATA-th source of that order from position k on.
+    The seed picks nothing: with seeded strata, item_tail_ms spread by 10
+    to 25 % between seeds (which source first meets an expensive sub-count
+    and fills the memo for the others depends on the sample), against 5 %
+    between runs of one seed."""
     if strata is None:
-        strata = sorted(rng.sample(range(EMB_STRATA), size["emb_strata"]))
-    sources = roots.enumerate_systems(24, dim=24, filters=True)
+        strata = list(range(0, EMB_STRATA, EMB_STRATA // size["emb_strata"]))
+    ordered = roots.enumerate_systems(24, dim=24, filters=True)[::-1]
     chosen = set(strata)
-    sample = [rs for rs in reversed(sources) if stratum(rs) in chosen]
+    positions = [i for i in range(len(ordered)) if i % EMB_STRATA in chosen]
     return {
         "strata": strata,
-        "sources": sample,
+        "sources": [ordered[i] for i in positions],
+        "source_strata": [i % EMB_STRATA for i in positions],
         "targets": [RootSystem.parse(name) for name in NIEMEIER],
     }
 
@@ -264,14 +251,14 @@ def emb24_run(inputs, tracer):
     for source in inputs["sources"]:
         t0 = perf_counter()
         rows.append([rep_count(source, t) for t in targets])
-        items.append(perf_counter() - t0)
+        items.append((t0, perf_counter()))
     return {"rows": rows}, items, []
 
 
 def emb24_stratum_digests(inputs, rows) -> dict[int, str]:
     lines: dict[int, list[str]] = {s: [] for s in inputs["strata"]}
-    for source, row in zip(inputs["sources"], rows):
-        lines[stratum(source)].append(f"{source}\t{','.join(map(str, row))}")
+    for source, k, row in zip(inputs["sources"], inputs["source_strata"], rows):
+        lines[k].append(f"{source}\t{','.join(map(str, row))}")
     return {s: digest(v) for s, v in lines.items()}
 
 
