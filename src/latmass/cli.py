@@ -24,6 +24,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .embeddings import rep_count
+from .exact import det, factorize
 from .padic import jordan_decompose
 from .reduction import class_lower_bound, even_class_bound, reduce_masses
 from .roots import EMPTY, RootSystem, enumerate_systems
@@ -34,7 +35,7 @@ from .siegel import (
     f_value,
     scalar_coefficient,
 )
-from .solver import MassTable, genus_mass, solve_masses
+from .solver import CheckpointMismatch, MassTable, genus_mass, solve_masses
 
 EVEN_DIMS = (8, 16, 24, 32)
 
@@ -101,30 +102,10 @@ def _parse_gram(text: str, even: bool = True):
     if even and any(gram[i][i] % 2 for i in range(n)):
         raise UsageError("Gram matrix must be even (even diagonal)")
     # positive definite: all leading principal minors positive
-    minors = [[Fraction(v) for v in row] for row in gram]
     for k in range(1, n + 1):
-        if _minor_det([row[:k] for row in minors[:k]]) <= 0:
+        if det([row[:k] for row in gram[:k]]) <= 0:
             raise UsageError("Gram matrix must be positive definite")
     return gram
-
-
-def _minor_det(a) -> Fraction:
-    n = len(a)
-    a = [row[:] for row in a]
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        for r in range(c + 1, n):
-            ratio = a[r][c] / a[c][c]
-            for j in range(c, n):
-                a[r][j] -= ratio * a[c][j]
-    return out
 
 
 def _parse_system(text: str) -> RootSystem:
@@ -188,14 +169,11 @@ def _solve_cached(dim: int, args) -> MassTable:
     )
     try:
         table = solve_masses(dim, **kwargs)
-    except RuntimeError as exc:
+    except CheckpointMismatch:
         # stale checkpoints (other filters, other enumeration) force a clean run
-        if checkpoint and os.path.exists(checkpoint) and "does not match" in str(exc):
-            _note(f"discarding stale checkpoint {checkpoint}")
-            os.remove(checkpoint)
-            table = solve_masses(dim, **kwargs)
-        else:
-            raise
+        _note(f"discarding stale checkpoint {checkpoint}")
+        os.remove(checkpoint)
+        table = solve_masses(dim, **kwargs)
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
     if path:
@@ -277,7 +255,7 @@ def cmd_emb(args) -> None:
 
 
 def cmd_siegel(args) -> None:
-    if args.p < 2 or any(args.p % q == 0 for q in range(2, args.p) if q * q <= args.p):
+    if args.p < 2 or factorize(args.p) != {args.p: 1}:
         raise UsageError(f"--p must be prime, got {args.p}")
     # the matrix is the series argument itself, not an even lattice Gram
     gram = _parse_gram(args.gram, even=False)

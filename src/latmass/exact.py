@@ -46,28 +46,52 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Squarefree decomposition (inputs here are smooth: determinants and
+# Factoring and determinants (inputs here are smooth: determinants and
 # conductors stay tiny, so trial division is plenty)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending."""
+    assert n >= 1
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Return (s, r) with n = s^2 * r and r squarefree, for n >= 1."""
-    assert n >= 1
     s, r = 1, 1
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                r *= d
-        d += 1 if d == 2 else 2
-    r *= m
+    for p, e in factorize(n).items():
+        s *= p ** (e // 2)
+        r *= p ** (e % 2)
     return s, r
+
+
+def det(mat) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            for t in range(c, n):
+                a[r][t] -= f * a[c][t]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +154,6 @@ class AnalyticScalar:
             return self
         return AnalyticScalar(self.coeff, self.surd, self.pi_half + m)
 
-    def is_rational(self) -> bool:
-        return self.coeff == 0 or (self.surd == 1 and self.pi_half == 0)
-
     def as_fraction(self) -> Fraction:
         """Collapse to a rational; transcendental parts must have cancelled."""
         if self.coeff == 0:
@@ -143,13 +164,6 @@ class AnalyticScalar:
                 f" * pi^({self.pi_half}/2)"
             )
         return self.coeff
-
-    def to_float(self) -> float:
-        return (
-            float(self.coeff)
-            * math.sqrt(self.surd)
-            * math.pi ** (self.pi_half / 2)
-        )
 
 
 # ---------------------------------------------------------------------------

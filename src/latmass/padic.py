@@ -14,7 +14,6 @@ the Siegel series recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,13 +90,6 @@ def hasse_invariant(diag, p: int | None) -> int:
         for j in range(i + 1, len(diag)):
             h *= hilbert_symbol(diag[i], diag[j], p)
     return h
-
-
-def _hasse_kitaoka(diag, p: int) -> int:
-    """prod_{i<=j} (a_i, a_j)_p, the convention with diagonal terms."""
-    h = hasse_invariant(diag, p)
-    det = math.prod(diag, start=Fraction(1))
-    return h * hilbert_symbol(det, -1, p)
 
 
 def chi_p(x: Fraction | int, p: int) -> int:
@@ -378,9 +370,10 @@ def local_invariants(blocks: tuple[Block, ...], p: int) -> LocalInvariants:
         eta = 1
     else:
         xi = 1
-        diag = _diag_over_qp(blocks, p)
-        eta = _hasse_kitaoka(diag, p)
-        eta *= hilbert_symbol(det, Fraction((-1) ** ((n - 1) // 2)) * det, p)
+        # prod_{i<=j} (a_i, a_j)_p (diagonal terms included) times
+        # (det, (-1)^((n-1)/2) det)_p, folded by bilinearity
+        eta = hasse_invariant(_diag_over_qp(blocks, p), p)
+        eta *= hilbert_symbol(det, Fraction((-1) ** ((n + 1) // 2)) * det, p)
         eta *= hilbert_symbol(-1, -1, p) ** ((n * n - 1) // 8 % 2)
     xi_prime = 1 + xi - xi * xi
     return LocalInvariants(n, det, d, iv, delta, xi, xi_prime, eta)

@@ -38,7 +38,7 @@ def normalize_component(kind: str, rank: int) -> tuple[tuple[str, int], ...]:
     return (("Z", 1),)
 
 
-def _component_det(kind: str, rank: int) -> int:
+def _component_determinant(kind: str, rank: int) -> int:
     return {"A": rank + 1, "D": 4, "Z": 1}.get(kind) or {6: 3, 7: 2, 8: 1}[rank]
 
 
@@ -132,7 +132,7 @@ class RootSystem:
 
     @cached_property
     def det(self) -> int:
-        return math.prod(_component_det(k, r) ** m for k, r, m in self.components)
+        return math.prod(_component_determinant(k, r) ** m for k, r, m in self.components)
 
     @cached_property
     def root_count(self) -> int:
@@ -161,10 +161,6 @@ class RootSystem:
     @property
     def sort_key(self):
         return (self.rank, -self.det, str(self))
-
-    def instances(self):
-        """Component types with multiplicities, largest type last."""
-        return self.components
 
     def remove(self, kind: str, rank: int, times: int = 1) -> "RootSystem":
         parts = []

@@ -15,7 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import AnalyticScalar, DirichletCharacter, gamma_half, l_value, zeta_value
+from .exact import (
+    AnalyticScalar,
+    DirichletCharacter,
+    det,
+    factorize,
+    gamma_half,
+    l_value,
+    zeta_value,
+)
 from .padic import jordan_decompose, local_invariants, merge_blocks, with_unit
 from .roots import RootSystem, component_gram
 
@@ -247,22 +255,6 @@ def system_blocks(rs: RootSystem, p: int):
     return merge_blocks(parts, p)
 
 
-def _small_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        elif p * p > n:
-            out.append(n)
-            break
-        p += 1 if p == 2 else 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Global coefficients
 
@@ -280,12 +272,16 @@ def _l_norm(s: int, disc: int) -> AnalyticScalar:
     return l_value(s, DirichletCharacter.from_discriminant(disc))
 
 
-def _coefficient(n: int, dim: int, det_b: Fraction, blocks_by_p: dict) -> Fraction:
+def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
+    """Coefficient at a half-integral B of rank n and determinant det_b;
+    blocks_at(p) gives the Jordan blocks of B at p."""
     if n == 0:
         return Fraction(1)
     assert dim % 2 == 0 and n <= dim
     k = dim // 2
     assert (n * k) % 2 == 0
+    disc_b = det_b * Fraction(4) ** (n // 2)
+    assert disc_b.denominator == 1
     total = AnalyticScalar.from_rational(
         Fraction(_sgn(n * k // 2)) * Fraction(2) ** (n * k - n * (n - 1) // 2)
     )
@@ -298,11 +294,11 @@ def _coefficient(n: int, dim: int, det_b: Fraction, blocks_by_p: dict) -> Fracti
     for i in range(2 * k - n + 1, 2 * k + 1):
         total = (total / gamma_half(i)).times_pi_half(i)
     total = total * _zeta_norm(n, k)
-    for p, blocks in blocks_by_p.items():
-        total = total * f_value(blocks, p, Fraction(1, p**k))
+    for p in sorted({2, *factorize(int(disc_b))}):
+        blocks = blocks_at(p)
+        if local_invariants(blocks, p).d:
+            total = total * f_value(blocks, p, Fraction(1, p**k))
     if n % 2 == 0:
-        disc_b = det_b * Fraction(4) ** (n // 2)
-        assert disc_b.denominator == 1
         total = total * _l_norm(k - n // 2, _sgn(n // 2) * int(disc_b))
     a = total.as_fraction()
     if n in (dim - 1, dim):
@@ -314,31 +310,15 @@ def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:
     """Fourier coefficient of the weight dim/2 Siegel Eisenstein series at
     half the Gram matrix of the given root system."""
     n = rs.rank
-    if n == 0:
-        return Fraction(1)
-    det_b = Fraction(rs.det, 2**n)
-    blocks_by_p = {}
-    for p in sorted({2, *_small_factors(rs.det)}):
-        blocks = system_blocks(rs, p)
-        if local_invariants(blocks, p).d:
-            blocks_by_p[p] = blocks
-    return _coefficient(n, dim, det_b, blocks_by_p)
+    return _coefficient(n, dim, Fraction(rs.det, 2**n), lambda p: system_blocks(rs, p))
 
 
 def coefficient_for_gram(gram, dim: int) -> Fraction:
     """Same coefficient for an arbitrary even positive definite Gram matrix."""
-    n = len(gram)
     half = tuple(tuple(Fraction(v, 2) for v in row) for row in gram)
-    det_b = _det(half)
+    det_b = det(half)
     assert det_b > 0
-    disc = det_b * Fraction(4) ** (n // 2)
-    assert disc.denominator == 1
-    blocks_by_p = {}
-    for p in sorted({2, *_small_factors(int(disc))}):
-        blocks = jordan_decompose(half, p)
-        if local_invariants(blocks, p).d:
-            blocks_by_p[p] = blocks
-    return _coefficient(n, dim, det_b, blocks_by_p)
+    return _coefficient(len(gram), dim, det_b, lambda p: jordan_decompose(half, p))
 
 
 def scalar_coefficient(m: int, dim: int) -> Fraction:
@@ -346,22 +326,3 @@ def scalar_coefficient(m: int, dim: int) -> Fraction:
     norm 2m over the genus, Eisenstein normalised."""
     assert m >= 1
     return coefficient_for_gram(((2 * m,),), dim)
-
-
-def _det(mat) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for t in range(c, n):
-                a[r][t] -= f * a[c][t]
-    return out

@@ -33,8 +33,8 @@ def genus_mass(dim: int) -> Fraction:
     return m
 
 
-class SolverAborted(RuntimeError):
-    """Raised when a run stops early on purpose (checkpoint written)."""
+class CheckpointMismatch(RuntimeError):
+    """Raised when a checkpoint was written by a run with other settings."""
 
 
 @dataclass
@@ -98,8 +98,7 @@ def _write_checkpoint(path, dim, filters, count, digest, done, nonzero) -> None:
     _atomic_write_json(path, data)
 
 
-def _coefficient_job(args):
-    rs, dim = args
+def _coefficient_job(rs, dim):
     return eisenstein_coefficient(rs, dim)
 
 
@@ -110,9 +109,10 @@ def solve_masses(
     checkpoint: str | None = None,
     checkpoint_every: int | None = None,
     progress=None,
-    _stop_after: int | None = None,
 ) -> MassTable:
     """Solve the whole mass table for one dimension (a multiple of 8)."""
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     systems = enumerate_systems(dim, dim=dim, filters=filters)
     genus = genus_mass(dim)
     count = len(systems)
@@ -130,28 +130,25 @@ def solve_masses(
             or data.get("count") != count
             or data.get("order_digest") != digest
         ):
-            raise RuntimeError(f"checkpoint {checkpoint} does not match this run")
+            raise CheckpointMismatch(f"checkpoint {checkpoint} does not match this run")
         done = data["done"]
         nonzero = [(RootSystem.parse(k), Fraction(v)) for k, v in data["masses"].items()]
         nonzero.sort(key=lambda t: t[0].sort_key, reverse=True)
 
-    coefficients = None
-    if workers and workers > 1 and done < count:
-        todo = [(systems[count - 1 - pos], dim) for pos in range(done, count)]
+    # the systems still to solve, largest first
+    todo = systems[: count - done][::-1]
+    if workers and workers > 1 and todo:
+        # every coefficient is ready before back-substitution starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(todo) // (workers * 8))
-            values = list(pool.map(_coefficient_job, todo, chunksize=chunk))
-        coefficients = dict(zip((rs for rs, _ in todo), values))
+            values = list(pool.map(_coefficient_job, todo, [dim] * len(todo), chunksize=chunk))
+    else:
+        values = (eisenstein_coefficient(rs, dim) for rs in todo)
 
     if checkpoint and checkpoint_every is None:
         checkpoint_every = 500
 
-    for pos in range(done, count):
-        rs = systems[count - 1 - pos]
-        if coefficients is not None:
-            a = coefficients[rs]
-        else:
-            a = eisenstein_coefficient(rs, dim)
+    for rs, a in zip(todo, values):
         acc = genus * a
         for rs_j, m_j in nonzero:
             acc -= rep_count(rs, rs_j) * m_j
@@ -160,17 +157,11 @@ def solve_masses(
             raise RuntimeError(f"negative mass for root system {rs}")
         if m:
             nonzero.append((rs, m))
-        done = pos + 1
+        done += 1
         if progress is not None:
             progress(done, count, rs, m)
-        wrote = False
         if checkpoint and done % checkpoint_every == 0:
             _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)
-            wrote = True
-        if _stop_after is not None and done >= _stop_after and done < count:
-            if checkpoint and not wrote:
-                _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)
-            raise SolverAborted(f"stopped after {done} of {count} systems")
 
     if checkpoint:
         _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from latmass.cli import main
-from latmass.solver import genus_mass
+from latmass.solver import genus_mass, solve_masses
+from test_solver import Interrupted, stop_after
 
 
 def run(capsys, *argv):
@@ -147,6 +150,24 @@ def test_checkpoint_cleanup(capsys, tmp_path):
     assert not os.path.exists(os.path.join(cache, "solve_dim16.ckpt.json"))
 
 
+def test_stale_checkpoint_discarded(capsys, tmp_path):
+    # a --no-filters checkpoint left under the filtered run's name
+    cache = tmp_path / "stale"
+    cache.mkdir()
+    stale = cache / "solve_dim16.ckpt.json"
+    with pytest.raises(Interrupted):
+        solve_masses(
+            16, filters=False, checkpoint=str(stale), checkpoint_every=5, progress=stop_after(10)
+        )
+    assert stale.exists()
+    code, out, err = run(capsys, "mass", "--dim", "16", "--cache", str(cache))
+    assert code == 0
+    assert "discarding stale checkpoint" in err
+    rows = json.loads(out)["rows"]
+    assert [row["root_system"] for row in rows] == ["D16", "E8^2"]
+    assert not stale.exists()
+
+
 def test_verify_subcommand(capsys):
     code, out, err = run(capsys, "verify", "--format", "csv")
     assert code == 0
@@ -156,15 +177,21 @@ def test_verify_subcommand(capsys):
     assert err.count("pass:") == 5
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "mass", "--dim", "12")[0] == 2
     assert run(capsys, "coeff", "E9", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(2 1; 1 1)", "--dim", "8")[0] == 2
     assert run(capsys, "siegel", "--p", "4", "--gram", "(4)")[0] == 2
+    assert run(capsys, "siegel", "--p", "9", "--gram", "(4)")[0] == 2
+    assert run(capsys, "siegel", "--p", "1", "--gram", "(4)")[0] == 2
     assert run(capsys, "siegel", "--p", "2", "--gram", "(0)")[0] == 2
     assert run(capsys, "bounds", "--dim", "23", "--base", "24")[0] == 2
     assert run(capsys, "reduce", "--dim", "5")[0] == 2
+    cache = str(tmp_path / "cache")
+    for every in ("0", "-3"):
+        argv = ("mass", "--dim", "8", "--cache", cache, "--checkpoint-every", every)
+        assert run(capsys, *argv)[0] == 2
 
 
 def test_console_script_help():

@@ -8,6 +8,8 @@ from latmass.exact import (
     DirichletCharacter,
     bernoulli,
     bernoulli_poly,
+    det,
+    factorize,
     fundamental_discriminant,
     gamma_half,
     generalized_bernoulli,
@@ -38,6 +40,11 @@ def test_bernoulli_poly():
 
 
 def test_squarefree_decompose():
+    assert factorize(1) == {}
+    assert factorize(97) == {97: 1}
+    assert factorize(2**10 * 3**3 * 7) == {2: 10, 3: 3, 7: 1}
+    assert det([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4  # A3
+    assert det([[0, 1], [1, 0]]) == -1  # needs a row swap
     assert squarefree_decompose(1) == (1, 1)
     assert squarefree_decompose(72) == (6, 2)
     assert squarefree_decompose(45) == (3, 5)

@@ -1,11 +1,12 @@
 """Local Siegel series and Eisenstein coefficients."""
 
+import math
 import random
 from fractions import Fraction
 
 from latmass.padic import (
     _diag_over_qp,
-    _hasse_kitaoka,
+    hasse_invariant,
     hilbert_symbol,
     local_invariants,
     merge_blocks,
@@ -99,7 +100,9 @@ def test_pair_block_eta_identity():
         m = max(0, (inv2.i if inv2.i is not None else 0) + 1) + rng.randint(0, 2)
         n = inv2.n + 2
         lhs = local_invariants(with_unit(rest, m, 2), 2).eta
-        h = _hasse_kitaoka(_diag_over_qp(rest, 2), 2)
+        diag = _diag_over_qp(rest, 2)
+        # Hasse invariant with the diagonal terms (a_i, a_i)_2 included
+        h = hasse_invariant(diag, 2) * hilbert_symbol(math.prod(diag), -1, 2)
         sign = -1 if (((n - 1) ** 2 - 1) // 8) % 2 else 1
         rhs = (
             sign

@@ -1,12 +1,13 @@
 """Genus masses and the triangular solve in dimensions 8 and 16."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from latmass.roots import RootSystem
-from latmass.solver import MassTable, SolverAborted, genus_mass, solve_masses
+from latmass.solver import CheckpointMismatch, MassTable, genus_mass, solve_masses
 
 parse = RootSystem.parse
 
@@ -38,19 +39,35 @@ def test_solve_dimension_16():
     assert table.total_mass == genus_mass(16)
 
 
+class Interrupted(Exception):
+    pass
+
+
+def stop_after(limit):
+    """Progress callback that interrupts a solve once `limit` systems are done."""
+
+    def progress(done, count, rs, m):
+        if done >= limit:
+            raise Interrupted
+
+    return progress
+
+
 def test_checkpoint_resume(tmp_path):
     path = str(tmp_path / "dim16.json")
-    with pytest.raises(SolverAborted):
-        solve_masses(16, checkpoint=path, checkpoint_every=100, _stop_after=150)
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=path, checkpoint_every=100, progress=stop_after(150))
+    with open(path) as fh:
+        assert json.load(fh)["done"] == 100
     resumed = solve_masses(16, checkpoint=path, checkpoint_every=100)
     assert resumed.masses == solve_masses(16).masses
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
     path = str(tmp_path / "dim16.json")
-    with pytest.raises(SolverAborted):
-        solve_masses(16, checkpoint=path, _stop_after=10)
-    with pytest.raises(RuntimeError, match="does not match"):
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=path, checkpoint_every=5, progress=stop_after(10))
+    with pytest.raises(CheckpointMismatch, match="does not match"):
         solve_masses(16, checkpoint=path, filters=False)
 
 
