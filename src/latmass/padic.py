@@ -14,6 +14,7 @@ the Siegel series recursion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,19 +23,26 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Block = tuple[str, int, int]  # (kind 'u'|'h'|'y', scale, unit residue; 0 for h/y)
 
 
-def valuation(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    assert x != 0
-    v = 0
+def _split(x: Fraction | int, p: int) -> tuple[int, int]:
+    """(v, w) for a nonzero rational x = p^v * num/den with num, den prime
+    to p, where w = num * den.  w is a p-adic unit in the square class of
+    x / p^v (den^2 is a square), so (v, w) determines every symbol below."""
     num, den = x.numerator, x.denominator
+    if not num:
+        raise ValueError("the p-adic valuation of 0 is not defined")
+    v = 0
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v
+    return v, num * den
+
+
+def valuation(x: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    return _split(x, p)[0]
 
 
 def unit_part(x: Fraction | int, p: int) -> Fraction:
@@ -53,23 +61,15 @@ def unit_residue(u: Fraction, p: int, modulus: int) -> int:
     return (num * pow(den, -1, modulus)) % modulus
 
 
-def _legendre(u: Fraction | int, p: int) -> int:
-    """Legendre symbol of a p-adic unit, odd p."""
-    r = unit_residue(Fraction(u), p, p)
-    s = pow(r, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+def _legendre(w: int, p: int) -> int:
+    """Legendre symbol of an integer prime to the odd prime p."""
+    return 1 if pow(w, (p - 1) // 2, p) == 1 else -1
 
 
-def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: int | None) -> int:
-    """Hilbert symbol (a, b)_p; p = None is the real place."""
-    a, b = Fraction(a), Fraction(b)
-    assert a != 0 and b != 0
-    if p is None:
-        return -1 if a < 0 and b < 0 else 1
-    alpha, u = valuation(a, p), unit_part(a, p)
-    beta, v = valuation(b, p), unit_part(b, p)
+def _hilbert(alpha: int, u: int, beta: int, v: int, p: int) -> int:
+    """(p^alpha u, p^beta v)_p for integer units u, v (as from _split)."""
     if p == 2:
-        ru, rv = unit_residue(u, 2, 8), unit_residue(v, 2, 8)
+        ru, rv = u % 8, v % 8
         eps_u, eps_v = (ru - 1) // 2 % 2, (rv - 1) // 2 % 2
         om_u, om_v = (ru * ru - 1) // 8 % 2, (rv * rv - 1) // 8 % 2
         exp = eps_u * eps_v + alpha * om_v + beta * om_u
@@ -82,28 +82,49 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: int | None) -> int:
     return sign
 
 
+def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: int | None) -> int:
+    """Hilbert symbol (a, b)_p of nonzero rationals; p = None is the real
+    place.  At a prime, a thin wrapper over the integer core that
+    hasse_invariant also uses."""
+    if p is None:
+        assert a != 0 and b != 0
+        return -1 if a < 0 and b < 0 else 1
+    return _hilbert(*_split(a, p), *_split(b, p), p)
+
+
 def hasse_invariant(diag, p: int | None) -> int:
-    """Hasse invariant prod_{i<j} (a_i, a_j)_p of a diagonalized form."""
-    diag = [Fraction(a) for a in diag]
+    """Hasse invariant prod_{i<j} (a_i, a_j)_p of a diagonalized form.
+
+    Grouped by distinct entries: with k_a copies of a, the product is
+    prod_a (a, a)^C(k_a, 2) * prod_{a<b} (a, b)^(k_a k_b), so only entries
+    and pairs with an odd exponent are evaluated, each once, on the
+    integer pairs of _split.  At the real place (a, b) = -1 only for two
+    negatives, so the invariant is -1 exactly when C(#negatives, 2) is odd.
+    """
+    if p is None:
+        neg = sum(1 for a in diag if a < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    groups = [(_split(a, p), k) for a, k in Counter(diag).items()]
     h = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            h *= hilbert_symbol(diag[i], diag[j], p)
+    for t, (x, k) in enumerate(groups):
+        if k * (k - 1) // 2 % 2:
+            h *= _hilbert(*x, *x, p)
+        if k % 2:
+            for y, l in groups[t + 1:]:
+                if l % 2:
+                    h *= _hilbert(*x, *y, p)
     return h
 
 
 def chi_p(x: Fraction | int, p: int) -> int:
     """1, -1, 0 as x is a square unit times p^even, the nonsquare unit class
     of the unramified extension, or neither."""
-    x = Fraction(x)
-    assert x != 0
-    if valuation(x, p) % 2:
+    v, w = _split(x, p)
+    if v % 2:
         return 0
-    u = unit_part(x, p)
     if p == 2:
-        r = unit_residue(u, 2, 8)
-        return {1: 1, 5: -1, 3: 0, 7: 0}[r]
-    return _legendre(u, p)
+        return {1: 1, 5: -1, 3: 0, 7: 0}[w % 8]
+    return _legendre(w, p)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +134,10 @@ def chi_p(x: Fraction | int, p: int) -> int:
 def _check_half_integral(b: list[list[Fraction]], p: int) -> None:
     n = len(b)
     for i in range(n):
-        assert b[i][i] == 0 or valuation(b[i][i], p) >= 0
+        assert not b[i][i] or valuation(b[i][i], p) >= 0
         for j in range(i + 1, n):
             assert b[i][j] == b[j][i]
-            if b[i][j] != 0:
+            if b[i][j]:
                 assert valuation(b[i][j], p) >= (-1 if p == 2 else 0)
 
 
@@ -125,14 +146,14 @@ def _min_valuations(b, active, p):
     off_w = 1 if p == 2 else 0
     best, best_diag, best_off = None, None, None
     for ai, i in enumerate(active):
-        if b[i][i] != 0:
+        if b[i][i]:
             v = valuation(b[i][i], p)
             if best is None or v < best:
                 best, best_diag, best_off = v, i, None
             elif v == best and best_diag is None:
                 best_diag = i
         for j in active[ai + 1:]:
-            if b[i][j] != 0:
+            if b[i][j]:
                 v = valuation(b[i][j], p) + off_w
                 if best is None or v < best:
                     best, best_diag, best_off = v, None, (i, j)
@@ -143,24 +164,31 @@ def _min_valuations(b, active, p):
 
 
 def _eliminate_rank1(b, active, i):
+    """Split off the pivot b_ii.  Only rows and columns where the pivot row
+    is nonzero change; everywhere else the update would subtract 0."""
     pivot = b[i][i]
     rest = [k for k in active if k != i]
-    for k in rest:
-        for l in rest:
-            b[k][l] -= b[i][k] * b[i][l] / pivot
+    hit = [k for k in rest if b[i][k]]
+    for k in hit:
+        c = b[i][k] / pivot
+        for l in hit:
+            b[k][l] -= c * b[i][l]
     return rest
 
 
 def _eliminate_rank2(b, active, i, j):
+    """Split off the 2x2 pivot on rows i, j; as in _eliminate_rank1, only
+    rows and columns where a pivot row is nonzero change."""
     det = b[i][i] * b[j][j] - b[i][j] ** 2
     rest = [k for k in active if k not in (i, j)]
+    hit = [k for k in rest if b[i][k] or b[j][k]]
     coef = {}
-    for k in rest:
+    for k in hit:
         c1 = (b[j][j] * b[i][k] - b[i][j] * b[j][k]) / det
         c2 = (b[i][i] * b[j][k] - b[i][j] * b[i][k]) / det
         coef[k] = (c1, c2)
-    for k in rest:
-        for l in rest:
+    for k in hit:
+        for l in hit:
             c1, c2 = coef[l]
             b[k][l] -= b[i][k] * c1 + b[j][k] * c2
     return rest

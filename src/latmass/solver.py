@@ -158,10 +158,11 @@ def solve_masses(
         if m:
             nonzero.append((rs, m))
         done += 1
-        if progress is not None:
-            progress(done, count, rs, m)
+        # checkpoint first: a progress callback may stop the run by raising
         if checkpoint and done % checkpoint_every == 0:
             _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)
+        if progress is not None:
+            progress(done, count, rs, m)
 
     if checkpoint:
         _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)

@@ -168,9 +168,17 @@ def test_stale_checkpoint_discarded(capsys, tmp_path):
     assert not stale.exists()
 
 
-def test_verify_subcommand(capsys):
+def test_verify_subcommand(capsys, monkeypatch):
+    solved = []
+
+    def counting_solve(dim, *args, **kwargs):
+        solved.append(dim)
+        return solve_masses(dim, *args, **kwargs)
+
+    monkeypatch.setattr("latmass.cli.solve_masses", counting_solve)
     code, out, err = run(capsys, "verify", "--format", "csv")
     assert code == 0
+    assert solved == [8, 16]  # the dim-16 checks share one solve
     lines = out.strip().splitlines()[1:]
     assert len(lines) == 5
     assert all(",pass," in line for line in lines)
@@ -189,6 +197,11 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "bounds", "--dim", "23", "--base", "24")[0] == 2
     assert run(capsys, "reduce", "--dim", "5")[0] == 2
     cache = str(tmp_path / "cache")
+    for every in ("0", "-3"):
+        argv = ("mass", "--dim", "8", "--cache", cache, "--checkpoint-every", every)
+        assert run(capsys, *argv)[0] == 2
+    # a warm cache must not hide the bad flag
+    assert run(capsys, "mass", "--dim", "8", "--cache", cache)[0] == 0
     for every in ("0", "-3"):
         argv = ("mass", "--dim", "8", "--cache", cache, "--checkpoint-every", every)
         assert run(capsys, *argv)[0] == 2

@@ -13,6 +13,8 @@ from latmass.padic import (
     valuation,
     with_unit,
 )
+from latmass.roots import RootSystem, system_gram
+from latmass.siegel import coefficient_for_gram, eisenstein_coefficient
 
 F = Fraction
 PRIMES = (2, 3, 5, 7)
@@ -59,6 +61,23 @@ def test_hasse_invariant():
     assert hasse_invariant((3, 3), 3) == -1
     assert hasse_invariant((1, 1, 1), 2) == 1
     assert hasse_invariant((2, 2, 2), 2) == hilbert_symbol(2, 2, 2) ** 3 == 1
+
+
+def test_grouped_hasse_matches_pairwise():
+    # few distinct entries, repeated, as in Jordan block lists
+    rng = random.Random(31)
+    for p in (None, 2, 3, 5, 7, 691):
+        for _ in range(400):
+            pool = [
+                F(rng.choice((-1, 1)) * rng.randrange(1, 50), rng.choice((1, 2, 3, 4, 8, 9, 25)))
+                for _ in range(rng.randrange(1, 5))
+            ]
+            diag = [rng.choice(pool) for _ in range(rng.randrange(0, 16))]
+            want = 1
+            for i in range(len(diag)):
+                for j in range(i + 1, len(diag)):
+                    want *= hilbert_symbol(diag[i], diag[j], p)
+            assert hasse_invariant(diag, p) == want, (diag, p)
 
 
 def test_chi_p():
@@ -214,3 +233,12 @@ def test_with_unit():
     aug = with_unit(blocks, 3, 2)
     assert aug == (("h", 1, 0), ("u", 3, 1))
     assert local_invariants(aug, 2).n == 3
+
+
+def test_sparse_elimination_matches_dense_gram():
+    # root-lattice Grams are sparse; a unimodular twist makes them dense
+    rng = random.Random(32)
+    for name in ("A2 A1^2 D4", "E6 A3", "A5 A1^3", "D5 A4 A1", "E7 A2 A1"):
+        rs = RootSystem.parse(name)
+        dense = _congruent(system_gram(rs), _random_unimodular(rng, rs.rank))
+        assert eisenstein_coefficient(rs, 32) == coefficient_for_gram(dense, 32), name

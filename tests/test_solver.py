@@ -63,6 +63,15 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.masses == solve_masses(16).masses
 
 
+def test_checkpoint_written_before_progress(tmp_path):
+    # a run stopped from its callback on a checkpoint step keeps that step
+    path = str(tmp_path / "dim16.json")
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=path, checkpoint_every=10, progress=stop_after(10))
+    with open(path) as fh:
+        assert json.load(fh)["done"] == 10
+
+
 def test_checkpoint_mismatch_rejected(tmp_path):
     path = str(tmp_path / "dim16.json")
     with pytest.raises(Interrupted):
