@@ -138,52 +138,38 @@ def _cache_dir(args) -> str | None:
 
 
 def _solve_cached(dim: int, args) -> MassTable:
-    """Solve one even dimension, honouring the table cache and checkpoints."""
-    every = getattr(args, "checkpoint_every", None)
-    if every is not None and every < 1:
-        # checked before the cache, so a warm cache cannot hide a bad flag
-        raise UsageError(f"--checkpoint-every must be at least 1, got {every}")
+    """Solve one even dimension; with a cache directory the table is saved
+    there, checkpointed while solving and reused once finished."""
     filters = getattr(args, "filters", True)
     cache = _cache_dir(args)
-    suffix = "" if filters else "_unfiltered"
     path = None
     if cache:
         os.makedirs(cache, exist_ok=True)
+        suffix = "" if filters else "_unfiltered"
         path = os.path.join(cache, f"masses_dim{dim}{suffix}.json")
-        if os.path.exists(path):
-            table = MassTable.load(path)
-            if table.dim == dim:
-                _note(f"loaded cached table {path}")
-                return table
-            _note(f"ignoring cache {path}: wrong dimension {table.dim}")
-
-    checkpoint = (
-        os.path.join(cache, f"solve_dim{dim}{suffix}.ckpt.json") if cache else None
-    )
+    solved = []
 
     def progress(done: int, count: int, rs, m) -> None:
+        solved.append(rs)
         if done % 2000 == 0 or done == count:
             _note(f"dim {dim}: solved {done}/{count} root systems")
 
     kwargs = dict(
         filters=filters,
         workers=getattr(args, "threads", None),
-        checkpoint=checkpoint,
-        checkpoint_every=every,
+        checkpoint=path,
+        checkpoint_every=getattr(args, "checkpoint_every", None),
         progress=progress,
     )
     try:
         table = solve_masses(dim, **kwargs)
-    except CheckpointMismatch:
-        # stale checkpoints (other filters, other enumeration) force a clean run
-        _note(f"discarding stale checkpoint {checkpoint}")
-        os.remove(checkpoint)
+    except CheckpointMismatch as exc:
+        # other filters, another enumeration, or a file that fails its checks
+        _note(f"discarding stale checkpoint: {exc}")
+        os.remove(path)
         table = solve_masses(dim, **kwargs)
-    if checkpoint and os.path.exists(checkpoint):
-        os.remove(checkpoint)
     if path:
-        table.save(path)
-        _note(f"cached table at {path}")
+        _note(f"{'cached' if solved else 'loaded cached'} table {path}")
     return table
 
 
@@ -443,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-table", dest="from_table", help="load a saved mass table")
     add_solver_flags(p)
 
-    p = add("verify", cmd_verify, "run quick internal cross-checks")
-    add_solver_flags(p)
+    add("verify", cmd_verify, "run quick internal cross-checks")
 
     return parser
 

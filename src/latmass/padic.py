@@ -45,22 +45,6 @@ def valuation(x: Fraction | int, p: int) -> int:
     return _split(x, p)[0]
 
 
-def unit_part(x: Fraction | int, p: int) -> Fraction:
-    """x / p^v(x), a p-adic unit."""
-    x = Fraction(x)
-    return x / Fraction(p) ** valuation(x, p)
-
-
-def unit_residue(u: Fraction, p: int, modulus: int) -> int:
-    """Residue of a p-adic unit mod p^k (num * den works since den^-1 = den
-    mod 8 for p = 2, and we only ever need den up to a square for odd p)."""
-    num, den = u.numerator, u.denominator
-    assert num % p and den % p
-    if modulus == 8:
-        return (num * den) % 8  # den^2 = 1 mod 8
-    return (num * pow(den, -1, modulus)) % modulus
-
-
 def _legendre(w: int, p: int) -> int:
     """Legendre symbol of an integer prime to the odd prime p."""
     return 1 if pow(w, (p - 1) // 2, p) == 1 else -1
@@ -278,38 +262,32 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
     raw: list[Block] = []
     while active:
         vmin, diag, off = _min_valuations(b, active, p)
-        if p != 2:
-            if diag is None:
-                # make a diagonal entry of minimal valuation (no cancellation:
-                # the off-diagonal term is the unique minimum)
-                i, j = off
-                for k in range(n):
-                    b[i][k] += b[j][k]
-                for k in range(n):
-                    b[k][i] += b[k][j]
-                diag = i
-            i = diag
-            e = valuation(b[i][i], p)
-            u = unit_residue(unit_part(b[i][i], p), p, p)
-            raw.append(("u", e, u))
-            active = _eliminate_rank1(b, active, i)
-        elif off is not None:
+        if p == 2 and off is not None:
             # an even 2x2 block; scale from the weighted minimum
             i, j = off
             e = vmin
-            det = b[i][i] * b[j][j] - b[i][j] ** 2
-            odd = det * 4 / Fraction(4) ** e
-            assert valuation(odd, 2) == 0
-            r = unit_residue(odd, 2, 8)
+            v, w = _split(b[i][i] * b[j][j] - b[i][j] ** 2, 2)
+            if v != 2 * e - 2:
+                raise ArithmeticError(f"2x2 block of scale {e} has determinant valuation {v}")
+            r = w % 8
             assert r in (3, 7)
             raw.append(("h" if r == 7 else "y", e, 0))
             active = _eliminate_rank2(b, active, i, j)
-        else:
-            i = diag
-            e = vmin
-            u = unit_residue(unit_part(b[i][i], 2), 2, 8)
-            raw.append(("u", e, u))
-            active = _eliminate_rank1(b, active, i)
+            continue
+        if diag is None:
+            # odd p: make a diagonal entry of minimal valuation (no
+            # cancellation: the off-diagonal term is the unique minimum)
+            i, j = off
+            for k in range(n):
+                b[i][k] += b[j][k]
+            for k in range(n):
+                b[k][i] += b[k][j]
+            diag = i
+        # the unit's residue num * den: exact mod 8 at p = 2, and with the
+        # unit's Legendre symbol at odd p, which is all merging reads
+        e, w = _split(b[diag][diag], p)
+        raw.append(("u", e, w % (8 if p == 2 else p)))
+        active = _eliminate_rank1(b, active, diag)
     return merge_blocks([raw], p)
 
 

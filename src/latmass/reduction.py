@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .embeddings import component_rows
 from .roots import EMPTY, RootSystem, _component_roots
 from .solver import MassTable
 
@@ -30,17 +31,6 @@ Part = tuple[str, int]
 # Case 2: both roots lie in a single component; each row lists the count of
 # norm-4 vectors of that shape, the drop in dimension after splitting off the
 # resulting unimodular Z^kappa summand, and what remains of the component.
-
-
-def _hat(kind: str, rank: int) -> tuple[Part, ...]:
-    """Root subsystem orthogonal to a single root of the component."""
-    if kind == "A":
-        return (("A", rank - 2),)
-    if kind == "D":
-        if rank == 4:
-            return (("A", 1), ("A", 1), ("A", 1))
-        return (("A", 1), ("D", rank - 2))
-    return {6: (("A", 5),), 7: (("D", 6),), 8: (("E", 7),)}[rank]
 
 
 def _case2_rows(kind: str, rank: int) -> tuple[tuple[int, int, tuple[Part, ...]], ...]:
@@ -156,7 +146,7 @@ def reduce_masses(table: MassTable) -> OddMassTable:
         comps = source.components
         for i, (k1, r1, mu1) in enumerate(comps):
             v1 = _component_roots(k1, r1)
-            hat1 = _hat(k1, r1)
+            hat1 = component_rows("A", 1, k1, r1)[0][1]  # complement of one root
             # case 1, both instances of the same type
             if mu1 >= 2:
                 target = source.remove(k1, r1, 2).add_parts(hat1 + hat1)
@@ -166,7 +156,7 @@ def reduce_masses(table: MassTable) -> OddMassTable:
             for k2, r2, mu2 in comps[i + 1 :]:
                 v2 = _component_roots(k2, r2)
                 target = source.remove(k1, r1).remove(k2, r2).add_parts(
-                    hat1 + _hat(k2, r2)
+                    hat1 + component_rows("A", 1, k2, r2)[0][1]
                 )
                 out._add(table.dim - 2, target, source, m * mu1 * mu2 * v1 * v2)
             # case 2, both roots inside one instance

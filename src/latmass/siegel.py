@@ -39,59 +39,74 @@ def _without(blocks, peeled):
     return tuple(out)
 
 
+_TWO = Fraction(2)
+
+
+def _even_step(n, q, x, xi, xi_prime, eta, delta, delta_r):
+    """Katsurada's recursion step (Amer. J. Math. 121, 1999) from even rank
+    n to rank n - 1 with invariant delta_r: F(x) = c1 F'(q x) + c0 F'(x).
+    Returns (c1, c0)."""
+    den = 1 - q ** (n + 1) * x * x
+    c0 = (
+        _sgn(xi + 1)
+        * xi_prime
+        * eta
+        * (1 - q ** (n // 2 + 1) * x * xi)
+        * (q ** (n // 2) * x) ** (delta - delta_r + xi * xi)
+        * q ** (delta // 2)
+        / den
+    )
+    return (1 - q ** (n // 2) * xi * x) / den, c0
+
+
+def _odd_step(n, q, x, xi, xi_prime, eta, delta, delta_r):
+    """The same step from odd rank n; here xi and xi_prime belong to the
+    rank n - 1 side."""
+    den = 1 - q ** ((n + 1) // 2) * xi * x
+    c0 = (
+        _sgn(xi)
+        * xi_prime
+        * eta
+        * (q ** ((n - 1) // 2) * x) ** (delta - delta_r + 2 - xi * xi)
+        * q ** ((2 * delta - delta_r + 2) // 2)
+        / den
+    )
+    return 1 / den, c0
+
+
 def _peel_rank1(blocks, p, x, b1, rest):
     inv_b = local_invariants(blocks, p)
     inv_r = local_invariants(rest, p)
     if inv_r.i is not None:
         assert b1[1] >= inv_r.i - 1 + (2 if p == 2 else 0)
     n = inv_b.n
-    q = Fraction(p)
     if n % 2 == 0:
-        xi = inv_b.xi
-        den = 1 - q ** (n + 1) * x * x
-        c1 = (1 - q ** (n // 2) * xi * x) / den
-        c0 = (
-            _sgn(xi + 1)
-            * inv_b.xi_prime
-            * inv_r.eta
-            * (1 - q ** (n // 2 + 1) * x * xi)
-            * (q ** (n // 2) * x) ** (inv_b.delta - inv_r.delta + xi * xi)
-            * q ** (inv_b.delta // 2)
-            / den
+        c1, c0 = _even_step(
+            n, Fraction(p), x, inv_b.xi, inv_b.xi_prime, inv_r.eta, inv_b.delta, inv_r.delta
         )
     else:
-        xi_r = inv_r.xi
-        den = 1 - q ** ((n + 1) // 2) * xi_r * x
-        c1 = 1 / den
-        c0 = (
-            _sgn(xi_r)
-            * inv_r.xi_prime
-            * inv_b.eta
-            * (q ** ((n - 1) // 2) * x) ** (inv_b.delta - inv_r.delta + 2 - xi_r * xi_r)
-            * q ** ((2 * inv_b.delta - inv_r.delta + 2) // 2)
-            / den
+        c1, c0 = _odd_step(
+            n, Fraction(p), x, inv_r.xi, inv_r.xi_prime, inv_b.eta, inv_b.delta, inv_r.delta
         )
     return c1 * _f_eval(rest, p, p * x) + c0 * _f_eval(rest, p, x)
 
 
 def _peel_rank2(blocks, x, peeled, rest):
-    """Remove a unit pair or an even 2x2 block of top scale m at p = 2."""
+    """Remove a unit pair or an even 2x2 block of top scale m at p = 2: a
+    rank-n step, then a rank-(n - 1) step at 2x and at x, both through an
+    intermediate whose invariant dmid comes from rest plus a unit at m."""
     m = peeled[0][1]
     inv_b = local_invariants(blocks, 2)
     inv_r = local_invariants(rest, 2)
     if inv_r.i is not None:
         assert m >= inv_r.i + 1
-    tilde = with_unit(rest, m, 2)
-    inv_t = local_invariants(tilde, 2)
+    inv_t = local_invariants(with_unit(rest, m, 2), 2)
     n = inv_b.n
-    delta, dhat, dtil = inv_b.delta, inv_r.delta, inv_t.delta
     pair = peeled[0][0] == "u"
-    two = Fraction(2)
     if n % 2 == 0:
-        xi, xip = inv_b.xi, inv_b.xi_prime
-        xih, xiph = inv_r.xi, inv_r.xi_prime
+        xih = inv_r.xi
         if (pair and inv_r.d % 2 == 1) or (not pair and xih == 0):
-            sigma = (2 * dtil - delta - dhat + 2) // 2
+            sigma = (2 * inv_t.delta - inv_b.delta - inv_r.delta + 2) // 2
         else:
             sigma = 0
         if pair and inv_r.d % 2 == 0:
@@ -100,69 +115,18 @@ def _peel_rank2(blocks, x, peeled, rest):
             eta_t = inv_t.eta
         else:
             eta_t = 1
-
-        def c11(t):
-            return (1 - two ** (n // 2) * xi * t) / (1 - two ** (n + 1) * t * t)
-
-        def c10(t):
-            return (
-                _sgn(xi + 1)
-                * xip
-                * eta_t
-                * (1 - two ** (n // 2 + 1) * t * xi)
-                * (two ** (n // 2) * t) ** (delta - dtil + xi * xi + sigma)
-                * two ** (delta // 2)
-                / (1 - two ** (n + 1) * t * t)
-            )
-
-        def c21(t):
-            return 1 / (1 - two ** (n // 2) * xih * t)
-
-        def c20(t):
-            return (
-                _sgn(xih)
-                * xiph
-                * eta_t
-                * (two ** ((n - 2) // 2) * t) ** (dtil - dhat + 2 - xih * xih - sigma)
-                * two ** ((2 * dtil - dhat + 2 - 2 * sigma) // 2)
-                / (1 - two ** (n // 2) * xih * t)
-            )
-
+        dmid = inv_t.delta - sigma
+        c1, c0 = _even_step(n, _TWO, x, inv_b.xi, inv_b.xi_prime, eta_t, inv_b.delta, dmid)
+        low, args = _odd_step, (xih, inv_r.xi_prime, eta_t, dmid, inv_r.delta)
     else:
-        eta, etah = inv_b.eta, inv_r.eta
         xit = 1 if not pair and inv_t.d % 2 == 0 else 0
-        sigma = 2 * xit
-
-        def c11(t):
-            return Fraction(1) / (1 - two ** ((n + 1) // 2) * xit * t)
-
-        def c10(t):
-            return (
-                _sgn(xit)
-                * eta
-                * (two ** ((n - 1) // 2) * t) ** (delta - dtil + 2 - xit * xit + sigma)
-                * two ** ((2 * delta - dtil + 2 + sigma) // 2)
-                / (1 - two ** ((n + 1) // 2) * xit * t)
-            )
-
-        def c21(t):
-            return (1 - two ** ((n - 1) // 2) * xit * t) / (1 - two**n * t * t)
-
-        def c20(t):
-            return (
-                _sgn(xit + 1)
-                * etah
-                * (1 - two ** ((n + 1) // 2) * t * xit)
-                * (two ** ((n - 1) // 2) * t) ** (dtil - dhat + xit * xit - sigma)
-                * two ** ((dtil - sigma) // 2)
-                / (1 - two**n * t * t)
-            )
-
-    return (
-        c11(x) * c21(2 * x) * _f_eval(rest, 2, 4 * x)
-        + c11(x) * c20(2 * x) * _f_eval(rest, 2, 2 * x)
-        + c10(x) * c21(x) * _f_eval(rest, 2, 2 * x)
-        + c10(x) * c20(x) * _f_eval(rest, 2, x)
+        dmid = inv_t.delta - 2 * xit
+        c1, c0 = _odd_step(n, _TWO, x, xit, 1, inv_b.eta, inv_b.delta, dmid)
+        low, args = _even_step, (xit, 1, inv_r.eta, dmid, inv_r.delta)
+    d1, d0 = low(n - 1, _TWO, 2 * x, *args)
+    e1, e0 = low(n - 1, _TWO, x, *args)
+    return c1 * (d1 * _f_eval(rest, 2, 4 * x) + d0 * _f_eval(rest, 2, 2 * x)) + c0 * (
+        e1 * _f_eval(rest, 2, 2 * x) + e0 * _f_eval(rest, 2, x)
     )
 
 

@@ -25,7 +25,8 @@ from .siegel import eisenstein_coefficient
 
 def genus_mass(dim: int) -> Fraction:
     """Mass of the genus of even unimodular lattices of the given dimension."""
-    assert dim % 8 == 0 and dim > 0
+    if dim <= 0 or dim % 8:
+        raise ValueError(f"even unimodular lattices need a positive multiple of 8, got {dim!r}")
     half = dim // 2
     m = abs(bernoulli(half)) / dim
     for j in range(1, half):
@@ -33,8 +34,9 @@ def genus_mass(dim: int) -> Fraction:
     return m
 
 
-class CheckpointMismatch(RuntimeError):
-    """Raised when a checkpoint was written by a run with other settings."""
+class CheckpointMismatch(ValueError):
+    """Raised when a saved table was written by a run with other settings
+    or fails the checks made before it is trusted."""
 
 
 @dataclass
@@ -55,47 +57,61 @@ class MassTable:
     def verify_total(self) -> bool:
         return self.total_mass == genus_mass(self.dim)
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, **run_header) -> None:
+        """Write the table; a solve adds its run header (filters, count,
+        order_digest, done), and a file with done < count is a checkpoint."""
         data = {
             "version": 1,
             "dim": self.dim,
+            **run_header,
             "masses": {str(rs): str(m) for rs, m in self.rows()},
         }
-        _atomic_write_json(path, data)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "w") as fh:
+            json.dump(data, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "MassTable":
+        """Read a finished table; checkpoints of unfinished solves are refused."""
+        header, masses = _read_table(path)
+        if header.get("done") != header.get("count"):
+            raise CheckpointMismatch(
+                f"{path} is an unfinished solve ({header['done']} of {header['count']} systems)"
+            )
+        return cls(header["dim"], masses)
+
+
+def _read_table(path: str, **run) -> tuple[dict, dict]:
+    """The header and masses of a saved table, checked before they are
+    trusted: the format version, the header fields given in `run`, positive
+    masses, and for a finished table (done == count, or neither recorded)
+    the genus-mass total.  Every failed check raises CheckpointMismatch."""
+    try:
         with open(path) as fh:
-            data = json.load(fh)
-        assert data["version"] == 1
-        masses = {RootSystem.parse(k): Fraction(v) for k, v in data["masses"].items()}
-        assert all(m > 0 for m in masses.values())
-        return cls(data["dim"], masses)
-
-
-def _atomic_write_json(path: str, data) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+            header = json.load(fh)
+        masses = {RootSystem.parse(k): Fraction(v) for k, v in header.pop("masses").items()}
+        genus = genus_mass(header.get("dim"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointMismatch(f"{path} is not a mass table: {exc}") from None
+    if header.get("version") != 1:
+        raise CheckpointMismatch(f"{path} has format version {header.get('version')!r}, not 1")
+    if any(header.get(key) != value for key, value in run.items()):
+        raise CheckpointMismatch(f"checkpoint {path} does not match this run")
+    if not all(m > 0 for m in masses.values()):
+        raise CheckpointMismatch(f"{path} holds a mass that is not positive")
+    done, count = header.get("done"), header.get("count")
+    if done == count:
+        if sum(masses.values(), Fraction(0)) != genus:
+            raise CheckpointMismatch(f"{path}: the masses do not sum to the genus mass")
+    elif not (type(done) is int and type(count) is int and 0 <= done < count):
+        raise CheckpointMismatch(f"{path}: {done!r} of {count!r} systems done")
+    return header, masses
 
 
 def _order_digest(names) -> str:
     return hashlib.sha256("\n".join(names).encode()).hexdigest()[:16]
-
-
-def _write_checkpoint(path, dim, filters, count, digest, done, nonzero) -> None:
-    data = {
-        "version": 1,
-        "dim": dim,
-        "filters": filters,
-        "count": count,
-        "order_digest": digest,
-        "done": done,
-        "masses": {str(rs): str(m) for rs, m in nonzero},
-    }
-    _atomic_write_json(path, data)
 
 
 def _coefficient_job(rs, dim):
@@ -110,7 +126,13 @@ def solve_masses(
     checkpoint_every: int | None = None,
     progress=None,
 ) -> MassTable:
-    """Solve the whole mass table for one dimension (a multiple of 8)."""
+    """Solve the whole mass table for one dimension (a multiple of 8).
+
+    With `checkpoint`, the table so far is saved to that path every
+    `checkpoint_every` systems (default 500) and once finished.  A file
+    already there is checked against this run and resumed; a finished one
+    is returned without solving anything.
+    """
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     systems = enumerate_systems(dim, dim=dim, filters=filters)
@@ -121,19 +143,13 @@ def solve_masses(
     nonzero: list[tuple[RootSystem, Fraction]] = []
 
     if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            data = json.load(fh)
-        if (
-            data.get("version") != 1
-            or data.get("dim") != dim
-            or data.get("filters") != filters
-            or data.get("count") != count
-            or data.get("order_digest") != digest
-        ):
-            raise CheckpointMismatch(f"checkpoint {checkpoint} does not match this run")
-        done = data["done"]
-        nonzero = [(RootSystem.parse(k), Fraction(v)) for k, v in data["masses"].items()]
-        nonzero.sort(key=lambda t: t[0].sort_key, reverse=True)
+        header, masses = _read_table(
+            checkpoint, dim=dim, filters=filters, count=count, order_digest=digest
+        )
+        done = header["done"]
+        if not set(masses) <= set(systems[count - done :]):
+            raise CheckpointMismatch(f"checkpoint {checkpoint} has masses of unsolved systems")
+        nonzero = sorted(masses.items(), key=lambda t: t[0].sort_key, reverse=True)
 
     # the systems still to solve, largest first
     todo = systems[: count - done][::-1]
@@ -159,11 +175,11 @@ def solve_masses(
             nonzero.append((rs, m))
         done += 1
         # checkpoint first: a progress callback may stop the run by raising
-        if checkpoint and done % checkpoint_every == 0:
-            _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)
+        if checkpoint and (done % checkpoint_every == 0 or done == count):
+            MassTable(dim, dict(nonzero)).save(
+                checkpoint, filters=filters, count=count, order_digest=digest, done=done
+            )
         if progress is not None:
             progress(done, count, rs, m)
 
-    if checkpoint:
-        _write_checkpoint(checkpoint, dim, filters, count, digest, done, nonzero)
     return MassTable(dim, dict(nonzero))

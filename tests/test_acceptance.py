@@ -261,7 +261,7 @@ def test_criterion_7_dim32_long_run(capsys):
     def check():
         cache = os.environ.get("LATTICE_MASS_CACHE") or "/tmp/latmass-long-run"
         os.makedirs(cache, exist_ok=True)
-        checkpoint = os.path.join(cache, "solve_dim32.ckpt.json")
+        checkpoint = os.path.join(cache, "masses_dim32.json")  # the CLI cache file
         table = solve_masses(
             32, checkpoint=checkpoint, checkpoint_every=200, workers=os.cpu_count()
         )

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latmass
 from latmass.cli import main
 from latmass.solver import genus_mass, solve_masses
 from test_solver import Interrupted, stop_after
@@ -141,20 +143,30 @@ def test_cache_env_variable(capsys, tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(cache, "masses_dim8.json"))
 
 
-def test_checkpoint_cleanup(capsys, tmp_path):
+def test_checkpoint_cleanup(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "ck")
     code, _, _ = run(
         capsys, "mass", "--dim", "16", "--cache", cache, "--checkpoint-every", "20"
     )
     assert code == 0
-    assert not os.path.exists(os.path.join(cache, "solve_dim16.ckpt.json"))
+    # the finished checkpoint is the cache: one file per solve
+    assert os.listdir(cache) == ["masses_dim16.json"]
+
+    def no_coefficients(rs, dim):
+        raise AssertionError(f"solved {rs} again")
+
+    monkeypatch.setattr("latmass.solver.eisenstein_coefficient", no_coefficients)
+    code, out, err = run(capsys, "mass", "--dim", "16", "--cache", cache)
+    assert code == 0
+    assert "loaded cached table" in err and "solved" not in err
+    assert [row["root_system"] for row in json.loads(out)["rows"]] == ["D16", "E8^2"]
 
 
 def test_stale_checkpoint_discarded(capsys, tmp_path):
     # a --no-filters checkpoint left under the filtered run's name
     cache = tmp_path / "stale"
     cache.mkdir()
-    stale = cache / "solve_dim16.ckpt.json"
+    stale = cache / "masses_dim16.json"
     with pytest.raises(Interrupted):
         solve_masses(
             16, filters=False, checkpoint=str(stale), checkpoint_every=5, progress=stop_after(10)
@@ -165,7 +177,44 @@ def test_stale_checkpoint_discarded(capsys, tmp_path):
     assert "discarding stale checkpoint" in err
     rows = json.loads(out)["rows"]
     assert [row["root_system"] for row in rows] == ["D16", "E8^2"]
-    assert not stale.exists()
+    data = json.loads(stale.read_text())
+    assert data["filters"] is True and data["done"] == data["count"]
+
+
+def test_tampered_cache_resolved_under_optimize(capsys, tmp_path):
+    cache = tmp_path / "tampered"
+    assert run(capsys, "mass", "--dim", "16", "--cache", str(cache))[0] == 0
+    path = cache / "masses_dim16.json"
+    data = json.loads(path.read_text())
+    data["masses"]["D16"] = "1/3"
+    path.write_text(json.dumps(data))
+    # the checks are raises, not asserts, so they run under python -O
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "latmass.cli", "mass", "--dim", "16", "--cache", str(cache)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "discarding stale checkpoint" in result.stderr
+    assert "do not sum to the genus mass" in result.stderr
+    rows = json.loads(result.stdout)["rows"]
+    assert [(row["root_system"], row["mass_times_weyl"]) for row in rows] == [
+        ("D16", "1"),
+        ("E8^2", "1/2"),
+    ]
+    assert genus_mass(16) == sum(Fraction(row["mass"]) for row in rows)
+    assert json.loads(path.read_text())["masses"]["D16"] != "1/3"
+
+
+def test_from_table_refuses_unfinished_checkpoint(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), checkpoint_every=5, progress=stop_after(10))
+    code, _, err = run(capsys, "bounds", "--from-table", str(path), "--dim", "14")
+    assert code == 2
+    assert "unfinished" in err
 
 
 def test_verify_subcommand(capsys, monkeypatch):
@@ -183,6 +232,12 @@ def test_verify_subcommand(capsys, monkeypatch):
     assert len(lines) == 5
     assert all(",pass," in line for line in lines)
     assert err.count("pass:") == 5
+
+
+def test_verify_takes_no_solver_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_config_errors_exit_2(capsys, tmp_path):

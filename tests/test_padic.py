@@ -9,7 +9,6 @@ from latmass.padic import (
     jordan_decompose,
     local_invariants,
     merge_blocks,
-    unit_part,
     valuation,
     with_unit,
 )
@@ -24,7 +23,6 @@ def test_valuation():
     assert valuation(F(12), 2) == 2
     assert valuation(F(3, 8), 2) == -3
     assert valuation(F(-9, 5), 3) == 2
-    assert unit_part(F(12), 2) == 3
 
 
 def test_hilbert_known_values():

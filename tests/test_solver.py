@@ -91,3 +91,32 @@ def test_mass_table_save_load(tmp_path):
 
 def test_workers_match_serial():
     assert solve_masses(16, workers=2).masses == solve_masses(16).masses
+
+
+def test_saved_table_checks(tmp_path):
+    path = tmp_path / "table.json"
+    solve_masses(8, checkpoint=str(path))
+    good = json.loads(path.read_text())
+    assert good["done"] == good["count"]
+    assert MassTable.load(str(path)).masses == {parse("E8"): Fraction(1, 696729600)}
+    for key, value, message in [
+        ("version", 2, "format version"),
+        ("masses", {"E8": "-1/696729600"}, "not positive"),
+        ("masses", {"E8": "1/3"}, "genus mass"),
+        ("masses", {"E9": "1"}, "not a mass table"),
+        ("done", good["count"] - 1, "unfinished"),
+    ]:
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(CheckpointMismatch, match=message):
+            MassTable.load(str(path))
+
+
+def test_checkpoint_with_unsolved_mass_rejected(tmp_path):
+    path = tmp_path / "dim16.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), checkpoint_every=5, progress=stop_after(10))
+    data = json.loads(path.read_text())
+    data["masses"]["A1"] = "1/7"  # A1 is solved near the end
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointMismatch, match="unsolved"):
+        solve_masses(16, checkpoint=str(path))
