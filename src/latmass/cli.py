@@ -194,8 +194,6 @@ def cmd_mass(args) -> None:
         return
 
     table = _solve_cached(dim, args)
-    if args.verify and not table.verify_total():
-        raise RuntimeError("mass table total does not match the genus mass")
     masses = dict(table.masses)
     systems = (
         enumerate_systems(dim, dim=dim, filters=args.filters)
@@ -401,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-rank", type=int, dest="max_rank")
     p.add_argument("--all", action="store_true", help="include zero-mass rows")
-    p.add_argument("--verify", action="store_true", help="check the genus-mass total")
     add_solver_flags(p)
 
     p = add("coeff", cmd_coeff, "one Fourier coefficient a(N)")

@@ -57,8 +57,6 @@ def _component_weyl(kind: str, rank: int) -> int:
         return math.factorial(rank + 1)
     if kind == "D":
         return 2 ** (rank - 1) * math.factorial(rank)
-    if kind == "Z":
-        return 2
     return {6: 51840, 7: 2903040, 8: 696729600}[rank]
 
 
@@ -68,8 +66,6 @@ def _component_aut(kind: str, rank: int) -> int:
         return 2 * math.factorial(rank + 1) if rank >= 2 else 2
     if kind == "D":
         return 1152 if rank == 4 else 2**rank * math.factorial(rank)
-    if kind == "Z":
-        return 2
     return {6: 103680, 7: 2903040, 8: 696729600}[rank]
 
 

@@ -2,12 +2,12 @@
 
 For a positive definite half-integral matrix B of rank n the local factor
 F_p(B; X) is a polynomial with integer coefficients and constant term 1,
-of degree at most d = ord_p of the discriminant of B.  We evaluate it by
+of degree at most d = ord_p of the discriminant of B.  We build it by
 Katsurada's recursion, peeling Jordan blocks of largest scale one at a time
-(two at a time where the rank-one step does not apply at p = 2), at the
-rational nodes X = p^j, and recover the polynomial by Lagrange
-interpolation.  The Fourier coefficient then combines the local factors
-with Gamma factors and zeta and L normalisations in exact arithmetic.
+(two at a time where the rank-one step does not apply at p = 2); each step
+maps the integer coefficient list of the rest to that of the larger block
+list.  The Fourier coefficient then combines the local factors with Gamma
+factors and zeta and L normalisations in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -39,62 +39,65 @@ def _without(blocks, peeled):
     return tuple(out)
 
 
-_TWO = Fraction(2)
+def _step(rest, q, a, b, e, s, t, g, k):
+    """F(X) = [(1 - aX) R(qX) + c X^e (1 - bX) R(X)] / (1 - g X^k) with
+    c = s q^t, on integer coefficient lists in nondecreasing degree order."""
+    if e < 0 or t < 0:
+        raise ArithmeticError(f"negative exponent in a Siegel series step: {e}, {t}")
+    c = s * q**t
+    num = [0] * (len(rest) + e + 1)
+    for i, r in enumerate(rest):
+        rq = r * q**i
+        num[i] += rq
+        num[i + 1] -= a * rq
+        num[i + e] += c * r
+        num[i + e + 1] -= c * b * r
+    out = []
+    for i, v in enumerate(num):
+        out.append(v + g * out[i - k] if i >= k else v)
+    # past the end the quotient continues as g * out[i - k]: exact iff these vanish
+    if g and any(out[len(out) - k :]):
+        raise ArithmeticError("Siegel series step leaves a remainder")
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _even_step(n, q, x, xi, xi_prime, eta, delta, delta_r):
+def _even_step(rest, n, q, xi, xi_prime, eta, delta, delta_r):
     """Katsurada's recursion step (Amer. J. Math. 121, 1999) from even rank
-    n to rank n - 1 with invariant delta_r: F(x) = c1 F'(q x) + c0 F'(x).
-    Returns (c1, c0)."""
-    den = 1 - q ** (n + 1) * x * x
-    c0 = (
-        _sgn(xi + 1)
-        * xi_prime
-        * eta
-        * (1 - q ** (n // 2 + 1) * x * xi)
-        * (q ** (n // 2) * x) ** (delta - delta_r + xi * xi)
-        * q ** (delta // 2)
-        / den
-    )
-    return (1 - q ** (n // 2) * xi * x) / den, c0
+    n, applied to the polynomial of the rank n - 1 rest with invariant
+    delta_r."""
+    h = n // 2
+    e = delta - delta_r + xi * xi
+    s = _sgn(xi + 1) * xi_prime * eta
+    return _step(rest, q, q**h * xi, q ** (h + 1) * xi, e, s, h * e + delta // 2, q ** (n + 1), 2)
 
 
-def _odd_step(n, q, x, xi, xi_prime, eta, delta, delta_r):
+def _odd_step(rest, n, q, xi, xi_prime, eta, delta, delta_r):
     """The same step from odd rank n; here xi and xi_prime belong to the
     rank n - 1 side."""
-    den = 1 - q ** ((n + 1) // 2) * xi * x
-    c0 = (
-        _sgn(xi)
-        * xi_prime
-        * eta
-        * (q ** ((n - 1) // 2) * x) ** (delta - delta_r + 2 - xi * xi)
-        * q ** ((2 * delta - delta_r + 2) // 2)
-        / den
-    )
-    return 1 / den, c0
+    e = delta - delta_r + 2 - xi * xi
+    s = _sgn(xi) * xi_prime * eta
+    t = (n - 1) // 2 * e + (2 * delta - delta_r + 2) // 2
+    return _step(rest, q, 0, 0, e, s, t, q ** ((n + 1) // 2) * xi, 1)
 
 
-def _peel_rank1(blocks, p, x, b1, rest):
+def _peel_rank1(blocks, p, b1, rest):
     inv_b = local_invariants(blocks, p)
     inv_r = local_invariants(rest, p)
     if inv_r.i is not None:
         assert b1[1] >= inv_r.i - 1 + (2 if p == 2 else 0)
     n = inv_b.n
+    r = f_polynomial(rest, p)
     if n % 2 == 0:
-        c1, c0 = _even_step(
-            n, Fraction(p), x, inv_b.xi, inv_b.xi_prime, inv_r.eta, inv_b.delta, inv_r.delta
-        )
-    else:
-        c1, c0 = _odd_step(
-            n, Fraction(p), x, inv_r.xi, inv_r.xi_prime, inv_b.eta, inv_b.delta, inv_r.delta
-        )
-    return c1 * _f_eval(rest, p, p * x) + c0 * _f_eval(rest, p, x)
+        return _even_step(r, n, p, inv_b.xi, inv_b.xi_prime, inv_r.eta, inv_b.delta, inv_r.delta)
+    return _odd_step(r, n, p, inv_r.xi, inv_r.xi_prime, inv_b.eta, inv_b.delta, inv_r.delta)
 
 
-def _peel_rank2(blocks, x, peeled, rest):
+def _peel_rank2(blocks, peeled, rest):
     """Remove a unit pair or an even 2x2 block of top scale m at p = 2: a
-    rank-n step, then a rank-(n - 1) step at 2x and at x, both through an
-    intermediate whose invariant dmid comes from rest plus a unit at m."""
+    rank-(n - 1) step to an intermediate whose invariant dmid comes from
+    rest plus a unit at m, then a rank-n step."""
     m = peeled[0][1]
     inv_b = local_invariants(blocks, 2)
     inv_r = local_invariants(rest, 2)
@@ -103,6 +106,7 @@ def _peel_rank2(blocks, x, peeled, rest):
     inv_t = local_invariants(with_unit(rest, m, 2), 2)
     n = inv_b.n
     pair = peeled[0][0] == "u"
+    r = f_polynomial(rest, 2)
     if n % 2 == 0:
         xih = inv_r.xi
         if (pair and inv_r.d % 2 == 1) or (not pair and xih == 0):
@@ -116,63 +120,12 @@ def _peel_rank2(blocks, x, peeled, rest):
         else:
             eta_t = 1
         dmid = inv_t.delta - sigma
-        c1, c0 = _even_step(n, _TWO, x, inv_b.xi, inv_b.xi_prime, eta_t, inv_b.delta, dmid)
-        low, args = _odd_step, (xih, inv_r.xi_prime, eta_t, dmid, inv_r.delta)
-    else:
-        xit = 1 if not pair and inv_t.d % 2 == 0 else 0
-        dmid = inv_t.delta - 2 * xit
-        c1, c0 = _odd_step(n, _TWO, x, xit, 1, inv_b.eta, inv_b.delta, dmid)
-        low, args = _even_step, (xit, 1, inv_r.eta, dmid, inv_r.delta)
-    d1, d0 = low(n - 1, _TWO, 2 * x, *args)
-    e1, e0 = low(n - 1, _TWO, x, *args)
-    return c1 * (d1 * _f_eval(rest, 2, 4 * x) + d0 * _f_eval(rest, 2, 2 * x)) + c0 * (
-        e1 * _f_eval(rest, 2, 2 * x) + e0 * _f_eval(rest, 2, x)
-    )
-
-
-@lru_cache(maxsize=1 << 18)
-def _f_eval(blocks, p, x) -> Fraction:
-    """F_p(B; x) by the peel chain, for rational x away from the poles of
-    the intermediate coefficients (powers of p always are)."""
-    if not blocks or x == 0:
-        return Fraction(1)
-    if local_invariants(blocks, p).d == 0:
-        return Fraction(1)
-    top = max(b[1] for b in blocks)
-    if p != 2:
-        b1 = blocks[-1]
-        assert b1[1] == top
-        return _peel_rank1(blocks, p, x, b1, blocks[:-1])
-    units = [b for b in blocks if b[1] == top and b[0] == "u"]
-    if len(units) >= 2:
-        assert len(units) == 2  # canonical forms carry at most two per scale
-        peeled = tuple(units)
-        return _peel_rank2(blocks, x, peeled, _without(blocks, peeled))
-    if len(units) == 1:
-        return _peel_rank1(blocks, 2, x, units[0], _without(blocks, units))
-    evens = [b for b in blocks if b[1] == top and b[0] == "h"]
-    evens = evens or [b for b in blocks if b[1] == top]
-    peeled = (evens[0],)
-    return _peel_rank2(blocks, x, peeled, _without(blocks, peeled))
-
-
-def _lagrange(points):
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for j, (xj, yj) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for i, (xi, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xi * basis[t + 1]
-            denom *= xj - xi
-        w = yj / denom
-        for t, c in enumerate(basis):
-            coeffs[t] += w * c
-    return coeffs
+        mid = _odd_step(r, n - 1, 2, xih, inv_r.xi_prime, eta_t, dmid, inv_r.delta)
+        return _even_step(mid, n, 2, inv_b.xi, inv_b.xi_prime, eta_t, inv_b.delta, dmid)
+    xit = 1 if not pair and inv_t.d % 2 == 0 else 0
+    dmid = inv_t.delta - 2 * xit
+    mid = _even_step(r, n - 1, 2, xit, 1, inv_r.eta, dmid, inv_r.delta)
+    return _odd_step(mid, n, 2, xit, 1, inv_b.eta, inv_b.delta, dmid)
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +134,31 @@ def f_polynomial(blocks, p: int) -> tuple[int, ...]:
     d = local_invariants(blocks, p).d
     if d == 0:
         return (1,)
-    nodes = [Fraction(p) ** j for j in range(d + 1)]
-    coeffs = _lagrange([(t, _f_eval(blocks, p, t)) for t in nodes])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    assert all(c.denominator == 1 for c in coeffs), (blocks, p)
-    out = tuple(int(c) for c in coeffs)
-    assert out[0] == 1, (blocks, p)
-    return out
+    top = max(b[1] for b in blocks)
+    if p != 2:
+        b1 = blocks[-1]
+        assert b1[1] == top
+        out = _peel_rank1(blocks, p, b1, blocks[:-1])
+    else:
+        units = [b for b in blocks if b[1] == top and b[0] == "u"]
+        if len(units) >= 2:
+            assert len(units) == 2  # canonical forms carry at most two per scale
+            peeled = tuple(units)
+            out = _peel_rank2(blocks, peeled, _without(blocks, peeled))
+        elif len(units) == 1:
+            out = _peel_rank1(blocks, 2, units[0], _without(blocks, units))
+        else:
+            evens = [b for b in blocks if b[1] == top and b[0] == "h"]
+            evens = evens or [b for b in blocks if b[1] == top]
+            peeled = (evens[0],)
+            out = _peel_rank2(blocks, peeled, _without(blocks, peeled))
+    if len(out) > d + 1 or out[0] != 1:
+        raise ArithmeticError(f"F_{p}(B; X) = {out} for {blocks}: want degree <= {d}, constant 1")
+    return tuple(out)
 
 
 def f_value(blocks, p: int, x) -> Fraction:
-    """F_p(B; x) from the interpolated polynomial."""
+    """F_p(B; x) by Horner's rule on f_polynomial."""
     acc = Fraction(0)
     for c in reversed(f_polynomial(tuple(blocks), p)):
         acc = acc * x + c

@@ -18,11 +18,14 @@ def brute_rep(source: RootSystem, target: RootSystem) -> int:
                 troots.append((0,) * at + v + (0,) * (dim - at - rank))
             at += rank
     gram = system_gram(target)
-    pair = {}
-    for a, u in enumerate(troots):
+    # by_product[a][t]: the roots whose inner product with root a is t
+    by_product = []
+    for u in troots:
         gu = tuple(sum(gram[i][j] * u[i] for i in range(dim)) for j in range(dim))
+        groups = {}
         for b, v in enumerate(troots):
-            pair[a, b] = sum(gu[j] * v[j] for j in range(dim))
+            groups.setdefault(sum(gu[j] * v[j] for j in range(dim)), set()).add(b)
+        by_product.append(groups)
     sgram = system_gram(source)
     r = source.rank
     count = 0
@@ -33,11 +36,13 @@ def brute_rep(source: RootSystem, target: RootSystem) -> int:
         if i == r:
             count += 1
             return
-        for c in range(len(troots)):
-            if all(pair[chosen[j], c] == sgram[j][i] for j in range(i)):
-                chosen.append(c)
-                extend(i + 1)
-                chosen.pop()
+        candidates = set(range(len(troots)))
+        for j in range(i):
+            candidates &= by_product[chosen[j]].get(sgram[j][i], set())
+        for c in candidates:
+            chosen.append(c)
+            extend(i + 1)
+            chosen.pop()
 
     extend(0)
     return count

@@ -1,9 +1,15 @@
 """Local Siegel series and Eisenstein coefficients."""
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import latmass
 from latmass.padic import (
     _diag_over_qp,
     hasse_invariant,
@@ -14,7 +20,6 @@ from latmass.padic import (
 )
 from latmass.roots import RootSystem
 from latmass.siegel import (
-    _f_eval,
     component_blocks,
     eisenstein_coefficient,
     f_polynomial,
@@ -54,10 +59,10 @@ def test_e8_is_hyperbolic_at_2():
     assert f_polynomial(system_blocks(RootSystem.parse("E8"), 2), 2) == (1,)
 
 
-def _random_blocks(rng, p):
+def _random_blocks(rng, p, most=4, top=3):
     raw = []
-    for _ in range(rng.randint(1, 4)):
-        e = rng.randint(0, 3)
+    for _ in range(rng.randint(1, most)):
+        e = rng.randint(0, top)
         if p == 2 and rng.random() < 0.4:
             raw.append((rng.choice("hy"), e, 0))
         else:
@@ -66,15 +71,54 @@ def _random_blocks(rng, p):
     return merge_blocks([tuple(raw)], p)
 
 
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_interpolation_matches_direct_evaluation():
+    # digest of the values recorded where f_value was checked against a
+    # separate evaluation of the recursion at each x
     rng = random.Random(7)
     args = {2: [Fraction(3, 5), Fraction(-1, 3)], 3: [Fraction(1, 2), Fraction(-2, 7)]}
     args[5] = args[3]
+    values = []
     for p in (2, 3, 5):
         for _ in range(40):
             blocks = _random_blocks(rng, p)
-            for x in args[p]:
-                assert f_value(blocks, p, x) == _f_eval(blocks, p, x)
+            values += [str(f_value(blocks, p, x)) for x in args[p]]
+    assert digest(values) == "9bf0ed3fa79c24f25f48478c00c464e78cc40c6f056dd190671364c358f07838"
+
+
+def test_polynomials_match_recorded():
+    # up to 8 blocks of scale 0..5; reaches every rank-2 peel branch
+    # (even/odd rank x unit pair, h or y block) at p = 2 hundreds of times
+    rng = random.Random(29)
+    lines = []
+    for p in (2, 3, 5, 7):
+        for _ in range(1350):
+            blocks = _random_blocks(rng, p, 8, 5)
+            lines.append(f"{p} {blocks} {f_polynomial(blocks, p)}")
+    assert digest(lines) == "bfff655520e4a2a70692a9f994aa117481b2440975decfc78e652a4104d03ffd"
+
+
+def test_functional_equation_odd_rank():
+    # Katsurada: c_{D-i} = s p^((n+1)(D/2-i)) c_i for odd n, D = deg F, s = +-1
+    rng = random.Random(31)
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(300):
+            blocks = _random_blocks(rng, p, 8, 5)
+            n = local_invariants(blocks, p).n
+            if n % 2 == 0:
+                continue
+            c = f_polynomial(blocks, p)
+            top = len(c) - 1
+            s = c[top] // p ** ((n + 1) * top // 2)
+            assert s in (1, -1), (blocks, p)
+            for i in range(top // 2 + 1):
+                assert c[top - i] == s * p ** ((n + 1) * (top - 2 * i) // 2) * c[i], (blocks, p)
+            checked += 1
+    assert checked > 400
 
 
 def test_evaluation_at_zero():
@@ -82,8 +126,26 @@ def test_evaluation_at_zero():
     for p in (2, 3):
         for _ in range(10):
             blocks = _random_blocks(rng, p)
-            assert _f_eval(blocks, p, Fraction(0)) == 1
             assert f_value(blocks, p, Fraction(0)) == 1
+
+
+def test_step_raises_under_optimize():
+    # for R = 1, (1 + X^0) R(X) = 2 leaves a remainder on division by
+    # 1 - 3X, and e = -1 is out of range: both raise, also under python -O
+    script = (
+        "from latmass.siegel import _step\n"
+        "for e, g in ((0, 3), (-1, 0)):\n"
+        "    try:\n"
+        "        _step([1], 2, 0, 0, e, 1, 0, g, 1)\n"
+        "    except ArithmeticError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ArithmeticError for e = {e}, g = {g}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_pair_block_eta_identity():
