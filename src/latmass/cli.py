@@ -195,6 +195,7 @@ def cmd_mass(args) -> None:
 
     table = _solve_cached(dim, args)
     masses = dict(table.masses)
+    # both lists are in solver order already
     systems = (
         enumerate_systems(dim, dim=dim, filters=args.filters)
         if args.all
@@ -202,7 +203,7 @@ def cmd_mass(args) -> None:
     )
     columns = ("root_system", "mass", "mass_times_weyl", "decimal")
     rows = []
-    for rs in sorted(set(systems), key=lambda rs: rs.sort_key):
+    for rs in systems:
         m = masses.get(rs, Fraction(0))
         mw = m * rs.weyl_order
         rows.append((str(rs), str(m), str(mw), _decimal_str(mw)))

@@ -100,7 +100,8 @@ def rep_count(source: RootSystem, target: RootSystem) -> int:
     if hit is not None:
         return hit
     sk, sr, _ = source.components[-1]
-    assert sk != "Z" and all(k != "Z" for k, _, _ in target.components)
+    if sk == "Z" or any(k == "Z" for k, _, _ in target.components):
+        raise ValueError(f"rep_count({source}, {target}): Z components have no roots")
     sub = source.remove(sk, sr)
     aut = _component_aut(sk, sr)
     total = 0

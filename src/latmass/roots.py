@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 _KIND_ORDER = {"Z": -1, "A": 0, "D": 1, "E": 2}
 _TOKEN = re.compile(r"^([ADE])(-?\d+)(?:\^(\d+))?$|^(Z)(?:\^(\d+))?$")
@@ -19,11 +20,9 @@ _TOKEN = re.compile(r"^([ADE])(-?\d+)(?:\^(\d+))?$|^(Z)(?:\^(\d+))?$")
 
 def normalize_component(kind: str, rank: int) -> tuple[tuple[str, int], ...]:
     """Resolve degenerate indices to honest components (possibly none)."""
-    if kind == "A":
-        assert rank >= -1
+    if kind == "A" and rank >= -1:
         return ((kind, rank),) if rank >= 1 else ()
-    if kind == "D":
-        assert rank >= 0
+    if kind == "D" and rank >= 0:
         if rank <= 1:
             return ()
         if rank == 2:
@@ -31,11 +30,9 @@ def normalize_component(kind: str, rank: int) -> tuple[tuple[str, int], ...]:
         if rank == 3:
             return (("A", 3),)
         return (("D", rank),)
-    if kind == "E":
-        assert rank in (6, 7, 8)
-        return (("E", rank),)
-    assert kind == "Z" and rank == 1
-    return (("Z", 1),)
+    if kind == "E" and rank in (6, 7, 8) or kind == "Z" and rank == 1:
+        return ((kind, rank),)
+    raise ValueError(f"no root system component {kind}{rank}")
 
 
 def _component_determinant(kind: str, rank: int) -> int:
@@ -81,7 +78,8 @@ class RootSystem:
         for item in parts:
             kind, rank = item[0], item[1]
             mult = item[2] if len(item) > 2 else 1
-            assert mult >= 0
+            if mult < 0:
+                raise ValueError(f"negative multiplicity {mult} of {kind}{rank}")
             for nk, nr in normalize_component(kind, rank):
                 counts[nk, nr] = counts.get((nk, nr), 0) + mult
         comps = tuple(
@@ -113,6 +111,12 @@ class RootSystem:
         return cls.from_parts(parts)
 
     def __str__(self) -> str:
+        return self.name
+
+    @cached_property
+    def name(self) -> str:
+        """Components in kind order (Z, A, D, E), each by rank, with
+        multiplicities as exponents; "0" for the empty system."""
         if not self.components:
             return "0"
         bits = []
@@ -156,7 +160,7 @@ class RootSystem:
 
     @property
     def sort_key(self):
-        return (self.rank, -self.det, str(self))
+        return (self.rank, -self.det, self.name)
 
     def remove(self, kind: str, rank: int, times: int = 1) -> "RootSystem":
         parts = []
@@ -168,7 +172,8 @@ class RootSystem:
                 m -= take
             if m:
                 parts.append((k, r, m))
-        assert removed == times, (self, kind, rank, times)
+        if removed != times:
+            raise ValueError(f"{self} has fewer than {times} components {kind}{rank}")
         return RootSystem(tuple(parts))
 
     def add_parts(self, parts) -> "RootSystem":
@@ -185,13 +190,13 @@ EMPTY = RootSystem(())
 
 
 def _dynkin_edges(kind: str, rank: int) -> list[tuple[int, int]]:
-    if kind == "A":
+    if kind == "A" and rank >= 1:
         return [(i, i + 1) for i in range(rank - 1)]
-    if kind == "D":
-        assert rank >= 4
+    if kind == "D" and rank >= 4:
         return [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-    assert kind == "E" and rank in (6, 7, 8)
-    return [(i, i + 1) for i in range(rank - 2)] + [(2, rank - 1)]
+    if kind == "E" and rank in (6, 7, 8):
+        return [(i, i + 1) for i in range(rank - 2)] + [(2, rank - 1)]
+    raise ValueError(f"no Dynkin diagram {kind}{rank}")
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +214,8 @@ def system_gram(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Block diagonal Gram matrix over all component instances."""
     mats = []
     for k, r, m in rs.components:
-        assert k != "Z"
+        if k == "Z":
+            raise ValueError(f"{rs} has a Z component, which has no roots")
         mats.extend([component_gram(k, r)] * m)
     n = sum(len(mat) for mat in mats)
     out = [[0] * n for _ in range(n)]
@@ -243,8 +249,8 @@ def component_roots(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
                     new.add(cand)
         roots |= new
         frontier = new
-    assert all(pair(v, v) == 2 for v in roots)
-    assert len(roots) == _component_roots(kind, rank)
+    if len(roots) != _component_roots(kind, rank) or any(pair(v, v) != 2 for v in roots):
+        raise RuntimeError(f"reflection closure of {kind}{rank} is not its root system")
     return tuple(sorted(roots))
 
 
@@ -254,44 +260,77 @@ def component_roots(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
 _BORCHERDS_MOD = {("E", 8): 24, ("E", 7): 12, ("E", 6): 6, ("D", 6): 4, ("D", 7): 8, ("D", 8): 8}
 
 
-def _passes_filters(rs: RootSystem, dim: int) -> bool:
-    if rs.rank == dim and math.isqrt(rs.det) ** 2 != rs.det:
-        return False
-    if dim == 32:
-        for kind, rank, _ in rs.components:
-            mod = _BORCHERDS_MOD.get((kind, rank))
-            if kind == "D" and rank > 8:
-                mod = 16
-            if mod and rs.root_count % mod:
-                return False
-    return True
+def _borcherds_mod(kind: str, rank: int) -> int:
+    """Modulus a dim-32 root count must meet when this component occurs."""
+    if kind == "D" and rank > 8:
+        return 16
+    return _BORCHERDS_MOD.get((kind, rank), 1)
 
 
 def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = True):
     """All root systems of rank <= max_rank in solver order (rank ascending,
     determinant descending, name ascending).  With a target dimension and
-    filters on, systems that provably carry zero mass are dropped."""
-    types = [("A", n) for n in range(1, max_rank + 1)]
-    types += [("D", n) for n in range(4, max_rank + 1)]
-    types += [("E", n) for n in (6, 7, 8) if n <= max_rank]
-    out: list[RootSystem] = []
+    filters on, systems that provably carry zero mass are dropped: those of
+    rank dim whose determinant is not a square and, in dimension 32, those
+    whose root count some component's Borcherds modulus does not divide.
 
-    def build(idx: int, budget: int, acc: list[tuple[str, int, int]]):
-        out.append(RootSystem(tuple(sorted(acc, key=lambda t: (t[1], _KIND_ORDER[t[0]])))))
-        for i in range(idx, len(types)):
-            kind, rank = types[i]
-            if rank > budget:
+    One recursion over components in name order (A by rank, then D, then E)
+    carries rank, determinant, root count, the lcm of the moduli and the
+    name tokens, so each filter is one integer test and a RootSystem is
+    built only for the systems kept, with those invariants cached."""
+    full_rank = dim if filters else None
+    borcherds = filters and dim == 32
+    # per component type: (rank, Borcherds modulus, index of the next
+    # kind's first type, steps), one step per multiplicity that fits, as
+    # (rank used, det factor, root count, name token, component)
+    types = []
+    for kind, ranks in (
+        ("A", range(1, max_rank + 1)),
+        ("D", range(4, max_rank + 1)),
+        ("E", [n for n in (6, 7, 8) if n <= max_rank]),
+    ):
+        next_kind = len(types) + len(ranks)
+        for r in ranks:
+            det, roots = _component_determinant(kind, r), _component_roots(kind, r)
+            base = f"{kind}{r}"
+            steps = [
+                (r * m, det**m, roots * m, base if m == 1 else f"{base}^{m}", (kind, r, m))
+                for m in range(1, max_rank // r + 1)
+            ]
+            types.append((r, _borcherds_mod(kind, r), next_kind, steps))
+    n_types = len(types)
+    kept: list[tuple] = []
+    parts: list[tuple[str, int, int]] = []
+    names: list[str] = []
+
+    def build(idx: int, budget: int, det: int, roots: int, mod: int):
+        rank = max_rank - budget
+        if (rank != full_rank or math.isqrt(det) ** 2 == det) and not (borcherds and roots % mod):
+            kept.append((rank, -det, " ".join(names) or "0", roots, tuple(parts)))
+        i = idx
+        while i < n_types:
+            r, r_mod, next_kind, steps = types[i]
+            if r > budget:
+                i = next_kind  # ranks ascend within a kind
                 continue
-            acc.append((kind, rank, 1))
-            mult = 1
-            while rank * mult <= budget:
-                acc[-1] = (kind, rank, mult)
-                build(i + 1, budget - rank * mult, acc)
-                mult += 1
-            acc.pop()
+            i += 1
+            sub_mod = math.lcm(mod, r_mod)
+            for used, cdet, croots, token, part in steps:
+                if used > budget:
+                    break
+                parts.append(part)
+                names.append(token)
+                build(i, budget - used, det * cdet, roots + croots, sub_mod)
+                names.pop()
+                parts.pop()
 
-    build(0, max_rank, [])
-    if dim is not None and filters:
-        out = [rs for rs in out if _passes_filters(rs, dim)]
-    out.sort(key=lambda rs: rs.sort_key)
+    build(0, max_rank, 1, 0, 1)
+    kept.sort()
+    canonical = itemgetter(1, 0)  # (rank, kind) with A < D < E; no Z is enumerated
+    out = []
+    for rank, neg_det, name, roots, found in kept:
+        rs = RootSystem(tuple(sorted(found, key=canonical)))
+        # cached properties read the instance dict first: seed them
+        rs.__dict__.update(name=name, rank=rank, det=-neg_det, root_count=roots)
+        out.append(rs)
     return out

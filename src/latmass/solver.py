@@ -59,12 +59,16 @@ class MassTable:
 
     def save(self, path: str, **run_header) -> None:
         """Write the table; a solve adds its run header (filters, count,
-        order_digest, done), and a file with done < count is a checkpoint."""
+        order_digest, done), and a file with done < count is a checkpoint.
+        The masses digest lets a reader catch an edited mass even where the
+        genus total cannot, in an unfinished solve."""
+        masses = {str(rs): str(m) for rs, m in self.rows()}
         data = {
             "version": 1,
             "dim": self.dim,
             **run_header,
-            "masses": {str(rs): str(m) for rs, m in self.rows()},
+            "masses_digest": _masses_digest(masses),
+            "masses": masses,
         }
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
@@ -86,12 +90,14 @@ class MassTable:
 def _read_table(path: str, **run) -> tuple[dict, dict]:
     """The header and masses of a saved table, checked before they are
     trusted: the format version, the header fields given in `run`, positive
-    masses, and for a finished table (done == count, or neither recorded)
-    the genus-mass total.  Every failed check raises CheckpointMismatch."""
+    masses, for a finished table (done == count, or neither recorded) the
+    genus-mass total, and the digest of the masses as written.  Every failed
+    check raises CheckpointMismatch."""
     try:
         with open(path) as fh:
             header = json.load(fh)
-        masses = {RootSystem.parse(k): Fraction(v) for k, v in header.pop("masses").items()}
+        written = header.pop("masses")
+        masses = {RootSystem.parse(k): Fraction(v) for k, v in written.items()}
         genus = genus_mass(header.get("dim"))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointMismatch(f"{path} is not a mass table: {exc}") from None
@@ -107,7 +113,14 @@ def _read_table(path: str, **run) -> tuple[dict, dict]:
             raise CheckpointMismatch(f"{path}: the masses do not sum to the genus mass")
     elif not (type(done) is int and type(count) is int and 0 <= done < count):
         raise CheckpointMismatch(f"{path}: {done!r} of {count!r} systems done")
+    if header.get("masses_digest") != _masses_digest(written):
+        raise CheckpointMismatch(f"{path}: the masses digest is missing or wrong")
     return header, masses
+
+
+def _masses_digest(masses: dict) -> str:
+    """Digest of the sorted name<TAB>mass lines of a table as written."""
+    return _order_digest(sorted(f"{name}\t{mass}" for name, mass in masses.items()))
 
 
 def _order_digest(names) -> str:

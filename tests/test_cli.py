@@ -181,6 +181,27 @@ def test_stale_checkpoint_discarded(capsys, tmp_path):
     assert data["filters"] is True and data["done"] == data["count"]
 
 
+def test_edited_checkpoint_discarded(capsys, tmp_path):
+    # a mass edited in an unfinished checkpoint fails its digest; before the
+    # digest, D16 = 1/3 resumed into a negative mass and exit code 3
+    cache = tmp_path / "edited"
+    cache.mkdir()
+    path = cache / "masses_dim16.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), checkpoint_every=500, progress=stop_after(1500))
+    data = json.loads(path.read_text())
+    data["masses"]["D16"] = "1/3"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mass", "--dim", "16", "--cache", str(cache))
+    assert code == 0
+    assert "discarding stale checkpoint" in err and "masses digest" in err
+    rows = json.loads(out)["rows"]
+    assert [(row["root_system"], row["mass_times_weyl"]) for row in rows] == [
+        ("D16", "1"),
+        ("E8^2", "1/2"),
+    ]
+
+
 def test_tampered_cache_resolved_under_optimize(capsys, tmp_path):
     cache = tmp_path / "tampered"
     assert run(capsys, "mass", "--dim", "16", "--cache", str(cache))[0] == 0
@@ -263,10 +284,13 @@ def test_config_errors_exit_2(capsys, tmp_path):
 
 
 def test_console_script_help():
+    # the child finds the package where this process did, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "latmass.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "mass" in result.stdout and "bounds" in result.stdout

@@ -1,8 +1,15 @@
 """Root system components, orders, Gram matrices, and enumeration."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import latmass
 
 from latmass.roots import (
     EMPTY,
@@ -13,6 +20,7 @@ from latmass.roots import (
     normalize_component,
     system_gram,
 )
+from latmass.solver import _order_digest
 
 
 def det(mat):
@@ -118,7 +126,7 @@ def test_remove_and_add():
     assert rs.remove("A", 1) == RootSystem.parse("A1 D4")
     assert rs.remove("A", 1, 2) == RootSystem.parse("D4")
     assert rs.remove("D", 4).add_parts([("A", 1), ("A", 1)]) == RootSystem.parse("A1^4")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         rs.remove("E", 8)
 
 
@@ -145,6 +153,102 @@ def test_rank_equal_dim_filter():
     assert RootSystem.parse("A2 A5") in systems  # rank 7 < dim, never filtered
 
 
+# (dim, filters) -> (count, digest of the names in solver order), recorded
+# from the enumeration that built every system and then filtered and sorted
+ORDER_DIGESTS = {
+    (8, True): (79, "d51f473f4e4974e5"),
+    (8, False): (101, "b2299842cb8342dc"),
+    (16, True): (2013, "3d43eedb5e50d756"),
+    (16, False): (2631, "af57e04946002eac"),
+    (24, True): (30104, "b665711468e2e669"),
+    (24, False): (38708, "d2e2fa41c01ae9fe"),
+    (32, True): (135443, "361da096e3ea56da"),
+    (32, False): (405844, "d737709ab7830d56"),
+}
+
+
 def test_enumeration_counts():
-    assert len(enumerate_systems(32)) == 405844
-    assert len(enumerate_systems(32, dim=32)) == 135443
+    for (dim, filters), (count, digest) in ORDER_DIGESTS.items():
+        names = [str(rs) for rs in enumerate_systems(dim, dim=dim, filters=filters)]
+        assert len(names) == count, (dim, filters)
+        assert _order_digest(names) == digest, (dim, filters)
+
+
+def reference_systems(dim, filters):
+    """For dim < 32: every multiset of components of rank <= dim, grown one
+    component at a time from the empty system, then filtered and sorted on
+    properties each RootSystem computes afresh."""
+    kinds = [("A", n) for n in range(1, dim + 1)] + [("D", n) for n in range(4, dim + 1)]
+    kinds += [("E", n) for n in (6, 7, 8) if n <= dim]
+    found = {EMPTY}
+    frontier = [EMPTY]
+    while frontier:
+        grown = {
+            rs.add_parts([part])
+            for rs in frontier
+            for part in kinds
+            if rs.rank + part[1] <= dim
+        }
+        frontier = list(grown - found)
+        found |= grown
+
+    def keep(rs):
+        # below dimension 32 the only filter is a square determinant at full rank
+        return rs.rank < dim or math.isqrt(rs.det) ** 2 == rs.det
+
+    systems = list(found)
+    if filters:
+        systems = [rs for rs in systems if keep(rs)]
+    return sorted(systems, key=lambda rs: (rs.rank, -rs.det, str(rs)))
+
+
+def test_enumeration_matches_reference():
+    # the recursion stores the name, rank, det and root count it carried;
+    # each must equal what the reference's fresh RootSystems compute
+    def seen(systems):
+        return [(rs.components, rs.name, rs.rank, rs.det, rs.root_count) for rs in systems]
+
+    for dim in (4, 8, 12, 16):
+        for filters in (True, False):
+            got = enumerate_systems(dim, dim=dim, filters=filters)
+            assert seen(got) == seen(reference_systems(dim, filters)), (dim, filters)
+
+
+def test_bad_arguments_raise_under_optimize():
+    # the argument and self checks are raises, not asserts, so they hold
+    # under python -O too
+    script = (
+        "from latmass import roots\n"
+        "from latmass.embeddings import rep_count\n"
+        "R = roots.RootSystem.parse\n"
+        "calls = [\n"
+        "    lambda: roots.normalize_component('E', 5),\n"
+        "    lambda: roots.normalize_component('A', -2),\n"
+        "    lambda: roots.normalize_component('B', 2),\n"
+        "    lambda: roots.RootSystem.from_parts([('A', 1, -1)]),\n"
+        "    lambda: R('A1^2 D4').remove('E', 8),\n"
+        "    lambda: R('A1').remove('A', 1, 2),\n"
+        "    lambda: roots.system_gram(R('Z A1')),\n"
+        "    lambda: roots.component_gram('D', 3),\n"
+        "    lambda: rep_count(R('Z'), R('A1')),\n"
+        "    lambda: rep_count(R('A1'), R('Z A1')),\n"
+        "]\n"
+        "for i, call in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ValueError from call {i}')\n"
+        "roots._component_roots = lambda kind, rank: 0\n"
+        "try:\n"
+        "    roots.component_roots('A', 2)\n"
+        "except RuntimeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no RuntimeError from a wrong root count')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

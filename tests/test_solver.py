@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from latmass.roots import RootSystem
-from latmass.solver import CheckpointMismatch, MassTable, genus_mass, solve_masses
+from latmass.solver import (
+    CheckpointMismatch,
+    MassTable,
+    _masses_digest,
+    genus_mass,
+    solve_masses,
+)
 
 parse = RootSystem.parse
 
@@ -117,6 +123,24 @@ def test_checkpoint_with_unsolved_mass_rejected(tmp_path):
         solve_masses(16, checkpoint=str(path), checkpoint_every=5, progress=stop_after(10))
     data = json.loads(path.read_text())
     data["masses"]["A1"] = "1/7"  # A1 is solved near the end
+    # a matching digest, so that only the unsolved-system check can object
+    data["masses_digest"] = _masses_digest(data["masses"])
     path.write_text(json.dumps(data))
     with pytest.raises(CheckpointMismatch, match="unsolved"):
         solve_masses(16, checkpoint=str(path))
+
+
+def test_edited_checkpoint_mass_rejected(tmp_path):
+    # D16 is among the first systems solved, so an unfinished checkpoint
+    # holds its mass; 1/3 is positive and no genus total applies yet
+    path = tmp_path / "dim16.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), checkpoint_every=500, progress=stop_after(1500))
+    good = json.loads(path.read_text())
+    assert (good["done"], good["count"]) == (1500, 2013)
+    edited = {**good, "masses": {**good["masses"], "D16": "1/3"}}
+    missing = {k: v for k, v in good.items() if k != "masses_digest"}
+    for data in (edited, missing):
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointMismatch, match="masses digest"):
+            solve_masses(16, checkpoint=str(path))
