@@ -118,11 +118,13 @@ def chi_p(x: Fraction | int, p: int) -> int:
 def _check_half_integral(b: list[list[Fraction]], p: int) -> None:
     n = len(b)
     for i in range(n):
-        assert not b[i][i] or valuation(b[i][i], p) >= 0
+        if b[i][i] and valuation(b[i][i], p) < 0:
+            raise ValueError(f"diagonal entry {b[i][i]} is not {p}-integral")
         for j in range(i + 1, n):
-            assert b[i][j] == b[j][i]
-            if b[i][j]:
-                assert valuation(b[i][j], p) >= (-1 if p == 2 else 0)
+            if b[i][j] != b[j][i]:
+                raise ValueError("the matrix is not symmetric")
+            if b[i][j] and valuation(b[i][j], p) < (-1 if p == 2 else 0):
+                raise ValueError(f"off-diagonal entry {b[i][j]} is not {p}-half-integral")
 
 
 def _min_valuations(b, active, p):

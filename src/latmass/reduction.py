@@ -53,7 +53,8 @@ def _case2_rows(kind: str, rank: int) -> tuple[tuple[int, int, tuple[Part, ...]]
 
 def _orbit_factor(kappa: int) -> int:
     # each orbit of norm-4 vectors with a Z^kappa complement carries 2^(kappa-1) kappa!
-    assert kappa >= 1
+    if kappa < 1:
+        raise ValueError(f"orbit factor needs kappa >= 1, got {kappa}")
     return 2 ** (kappa - 1) * math.factorial(kappa)
 
 
@@ -78,10 +79,12 @@ def _check_factor_identities() -> None:
         ("E", 8, 1),
     ]:
         wanted = copies * RootSystem.from_parts([(kind, rank, 1)]).weyl_order
-        assert _consumed_weight(kind, rank) == wanted, (kind, rank)
+        if _consumed_weight(kind, rank) != wanted:
+            raise RuntimeError(f"shapes of {kind}{rank} do not add up to its Weyl group")
     for j in range(5, 25):
         count, drop, _ = _case2_rows("D", j)[1]
-        assert count * _orbit_factor(drop - 1) == 2 ** (j - 1) * math.factorial(j), j
+        if count * _orbit_factor(drop - 1) != 2 ** (j - 1) * math.factorial(j):
+            raise RuntimeError(f"the D{j} shape of dimension drop {j} has the wrong weight")
 
 
 _check_factor_identities()
@@ -107,7 +110,8 @@ class OddMassTable:
     )
 
     def _add(self, n: int, target: RootSystem, source: RootSystem, value: Fraction) -> None:
-        assert value > 0
+        if value <= 0:
+            raise RuntimeError(f"contribution {value} of {source} to {target} is not positive")
         bucket = self.contributions.setdefault(n, {})
         per_source = bucket.setdefault(target, {})
         per_source[source] = per_source.get(source, Fraction(0)) + value
@@ -139,10 +143,12 @@ def reduce_masses(table: MassTable) -> OddMassTable:
     kappa + 1 contributes m(R) * #v * 2^(kappa-1) * kappa! to the bucket at
     (base - drop, R with the touched components replaced).
     """
-    assert table.dim % 8 == 0 and table.dim >= 8
+    if table.dim % 8 or table.dim < 8:
+        raise ValueError(f"the base table needs a positive multiple of 8, got {table.dim}")
     out = OddMassTable(table.dim)
     for source, m in table.masses.items():
-        assert m > 0
+        if m <= 0:
+            raise RuntimeError(f"base mass {m} of {source} is not positive")
         comps = source.components
         for i, (k1, r1, mu1) in enumerate(comps):
             v1 = _component_roots(k1, r1)
@@ -209,7 +215,8 @@ def no_root_masses(table: MassTable) -> dict[int, Fraction]:
     reduced = reduce_masses(table)
     out = {n: reduced.no_root_mass(n) for n in range(table.dim - 9, table.dim - 1)}
     for n, value in _no_root_closed_forms(table).items():
-        assert out[n] == value, (n, out[n], value)
+        if out[n] != value:
+            raise RuntimeError(f"rootless mass {out[n]} at dimension {n}, closed form {value}")
     return out
 
 
@@ -219,7 +226,8 @@ def no_root_masses(table: MassTable) -> dict[int, Fraction]:
 
 def milgram_norm4_count(n: int) -> int:
     """Classes of Lambda/2Lambda with norm divisible by 4, for even unimodular Lambda."""
-    assert n % 8 == 0 and n > 0
+    if n % 8 or n <= 0:
+        raise ValueError(f"need a positive multiple of 8, got {n}")
     return 2 ** (n - 1) + 2 ** (n // 2 - 1)
 
 
@@ -275,7 +283,8 @@ def mod_ceiling(x: Fraction | int) -> int:
     according to a = 0, a = 1, or a > 1.
     """
     x = Fraction(x)
-    assert x >= 0
+    if x < 0:
+        raise ValueError(f"a mass cannot be negative, got {x}")
     q, rem = divmod(x.numerator, x.denominator)
     if rem == 0:
         return q
@@ -312,7 +321,8 @@ def class_lower_bound(
     also counts even lattices; their mass, taken from even_tables, is removed
     first.  The bucket at dimension 0 is the empty lattice with mass 1.
     """
-    assert 1 <= n <= odd_table.base_dim - 2
+    if not 1 <= n <= odd_table.base_dim - 2:
+        raise ValueError(f"n must lie in 1..{odd_table.base_dim - 2}, got {n}")
     even_tables = even_tables or {}
     total = 0
     systems: dict[RootSystem, Fraction] = {}
@@ -322,7 +332,8 @@ def class_lower_bound(
         z_norm = 2**j * math.factorial(j)
         if n0 == 0:
             # unique empty lattice; its reduction bucket carries mass exactly 1
-            assert odd_table.mass(0, EMPTY) == 1
+            if odd_table.mass(0, EMPTY) != 1:
+                raise RuntimeError("the empty lattice does not have mass 1")
             full = RootSystem.from_parts(z_parts)
             total += mod_ceiling(Fraction(1) * w_prime(full, n) / z_norm)
             systems[full] = Fraction(1, z_norm)
@@ -338,7 +349,8 @@ def class_lower_bound(
                         f"to bound dimension {n}"
                     )
                 diff = odd_table.mass(n0, target) - even_tables[n0].mass(target)
-                assert diff >= 0, (n0, target)
+                if diff < 0:
+                    raise RuntimeError(f"even mass of {target} exceeds its bucket at {n0}")
                 if diff > 0:
                     total += mod_ceiling(diff * wp)
                     systems[full] = diff

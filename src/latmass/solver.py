@@ -22,6 +22,8 @@ from .exact import bernoulli
 from .roots import RootSystem, enumerate_systems
 from .siegel import eisenstein_coefficient
 
+CHECKPOINT_EVERY = 500  # systems solved between checkpoint saves
+
 
 def genus_mass(dim: int) -> Fraction:
     """Mass of the genus of even unimodular lattices of the given dimension."""
@@ -58,8 +60,8 @@ class MassTable:
         return self.total_mass == genus_mass(self.dim)
 
     def save(self, path: str, **run_header) -> None:
-        """Write the table; a solve adds its run header (filters, count,
-        order_digest, done), and a file with done < count is a checkpoint.
+        """Write the table; a solve adds its run header (count, order_digest,
+        done), and a file with done < count is a checkpoint.
         The masses digest lets a reader catch an edited mass even where the
         genus total cannot, in an unfinished solve."""
         masses = {str(rs): str(m) for rs, m in self.rows()}
@@ -133,22 +135,18 @@ def _coefficient_job(rs, dim):
 
 def solve_masses(
     dim: int,
-    filters: bool = True,
     workers: int | None = None,
     checkpoint: str | None = None,
-    checkpoint_every: int | None = None,
     progress=None,
 ) -> MassTable:
     """Solve the whole mass table for one dimension (a multiple of 8).
 
     With `checkpoint`, the table so far is saved to that path every
-    `checkpoint_every` systems (default 500) and once finished.  A file
-    already there is checked against this run and resumed; a finished one
-    is returned without solving anything.
+    CHECKPOINT_EVERY systems and once finished.  A file already there is
+    checked against this run and resumed; a finished one is returned
+    without solving anything.
     """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
-    systems = enumerate_systems(dim, dim=dim, filters=filters)
+    systems = enumerate_systems(dim, dim=dim)
     genus = genus_mass(dim)
     count = len(systems)
     digest = _order_digest([str(rs) for rs in systems])
@@ -156,13 +154,12 @@ def solve_masses(
     nonzero: list[tuple[RootSystem, Fraction]] = []
 
     if checkpoint and os.path.exists(checkpoint):
-        header, masses = _read_table(
-            checkpoint, dim=dim, filters=filters, count=count, order_digest=digest
-        )
+        header, masses = _read_table(checkpoint, dim=dim, count=count, order_digest=digest)
         done = header["done"]
         if not set(masses) <= set(systems[count - done :]):
             raise CheckpointMismatch(f"checkpoint {checkpoint} has masses of unsolved systems")
-        nonzero = sorted(masses.items(), key=lambda t: t[0].sort_key, reverse=True)
+        # the pull sums below are exact, so their order does not matter
+        nonzero = list(masses.items())
 
     # the systems still to solve, largest first
     todo = systems[: count - done][::-1]
@@ -173,9 +170,6 @@ def solve_masses(
             values = list(pool.map(_coefficient_job, todo, [dim] * len(todo), chunksize=chunk))
     else:
         values = (eisenstein_coefficient(rs, dim) for rs in todo)
-
-    if checkpoint and checkpoint_every is None:
-        checkpoint_every = 500
 
     for rs, a in zip(todo, values):
         acc = genus * a
@@ -188,9 +182,9 @@ def solve_masses(
             nonzero.append((rs, m))
         done += 1
         # checkpoint first: a progress callback may stop the run by raising
-        if checkpoint and (done % checkpoint_every == 0 or done == count):
+        if checkpoint and (done % CHECKPOINT_EVERY == 0 or done == count):
             MassTable(dim, dict(nonzero)).save(
-                checkpoint, filters=filters, count=count, order_digest=digest, done=done
+                checkpoint, count=count, order_digest=digest, done=done
             )
         if progress is not None:
             progress(done, count, rs, m)

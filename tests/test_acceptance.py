@@ -264,9 +264,7 @@ def test_criterion_7_dim32_long_run(capsys):
         cache = os.environ.get("LATTICE_MASS_CACHE") or "/tmp/latmass-long-run"
         os.makedirs(cache, exist_ok=True)
         checkpoint = os.path.join(cache, "masses_dim32.json")  # the CLI cache file
-        table = solve_masses(
-            32, checkpoint=checkpoint, checkpoint_every=200, workers=os.cpu_count()
-        )
+        table = solve_masses(32, checkpoint=checkpoint, workers=os.cpu_count())
 
         for name, want in DIM32_MASS_TIMES_WEYL.items():
             rs = R(name)

@@ -145,9 +145,7 @@ def test_cache_env_variable(capsys, tmp_path, monkeypatch):
 
 def test_checkpoint_cleanup(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "ck")
-    code, _, _ = run(
-        capsys, "mass", "--dim", "16", "--cache", cache, "--checkpoint-every", "20"
-    )
+    code, _, _ = run(capsys, "mass", "--dim", "16", "--cache", cache)
     assert code == 0
     # the finished checkpoint is the cache: one file per solve
     assert os.listdir(cache) == ["masses_dim16.json"]
@@ -163,22 +161,22 @@ def test_checkpoint_cleanup(capsys, tmp_path, monkeypatch):
 
 
 def test_stale_checkpoint_discarded(capsys, tmp_path):
-    # a --no-filters checkpoint left under the filtered run's name
+    # a checkpoint written for another solve order
     cache = tmp_path / "stale"
     cache.mkdir()
     stale = cache / "masses_dim16.json"
     with pytest.raises(Interrupted):
-        solve_masses(
-            16, filters=False, checkpoint=str(stale), checkpoint_every=5, progress=stop_after(10)
-        )
-    assert stale.exists()
+        solve_masses(16, checkpoint=str(stale), progress=stop_after(500))
+    data = json.loads(stale.read_text())
+    digest = data["order_digest"]
+    stale.write_text(json.dumps({**data, "order_digest": "0" * 16}))
     code, out, err = run(capsys, "mass", "--dim", "16", "--cache", str(cache))
     assert code == 0
     assert "discarding stale checkpoint" in err
     rows = json.loads(out)["rows"]
     assert [row["root_system"] for row in rows] == ["D16", "E8^2"]
     data = json.loads(stale.read_text())
-    assert data["filters"] is True and data["done"] == data["count"]
+    assert data["order_digest"] == digest and data["done"] == data["count"]
 
 
 def test_edited_checkpoint_discarded(capsys, tmp_path):
@@ -188,7 +186,7 @@ def test_edited_checkpoint_discarded(capsys, tmp_path):
     cache.mkdir()
     path = cache / "masses_dim16.json"
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=str(path), checkpoint_every=500, progress=stop_after(1500))
+        solve_masses(16, checkpoint=str(path), progress=stop_after(1500))
     data = json.loads(path.read_text())
     data["masses"]["D16"] = "1/3"
     path.write_text(json.dumps(data))
@@ -232,7 +230,7 @@ def test_tampered_cache_resolved_under_optimize(capsys, tmp_path):
 def test_from_table_refuses_unfinished_checkpoint(capsys, tmp_path):
     path = tmp_path / "partial.json"
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=str(path), checkpoint_every=5, progress=stop_after(10))
+        solve_masses(16, checkpoint=str(path), progress=stop_after(500))
     code, _, err = run(capsys, "bounds", "--from-table", str(path), "--dim", "14")
     assert code == 2
     assert "unfinished" in err
@@ -255,13 +253,31 @@ def test_verify_subcommand(capsys, monkeypatch):
     assert err.count("pass:") == 5
 
 
+def test_verify_fails_under_optimize():
+    # the checks are raises, not asserts, so a wrong coefficient fails its
+    # check under python -O too
+    script = (
+        "import sys\n"
+        "from latmass import cli\n"
+        "cli.scalar_coefficient = lambda m, k: 0\n"
+        "sys.exit(cli.main(['verify', '--format', 'csv']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 3, result.stderr
+    assert "fail: scalar_coefficients_dim8" in result.stderr
+    assert result.stderr.count("pass:") == 4
+
+
 def test_verify_takes_no_solver_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--threads", "2"])
     assert exc.value.code == 2
 
 
-def test_config_errors_exit_2(capsys, tmp_path):
+def test_config_errors_exit_2(capsys):
     assert run(capsys, "mass", "--dim", "12")[0] == 2
     assert run(capsys, "coeff", "E9", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
@@ -272,15 +288,6 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "siegel", "--p", "2", "--gram", "(0)")[0] == 2
     assert run(capsys, "bounds", "--dim", "23", "--base", "24")[0] == 2
     assert run(capsys, "reduce", "--dim", "5")[0] == 2
-    cache = str(tmp_path / "cache")
-    for every in ("0", "-3"):
-        argv = ("mass", "--dim", "8", "--cache", cache, "--checkpoint-every", every)
-        assert run(capsys, *argv)[0] == 2
-    # a warm cache must not hide the bad flag
-    assert run(capsys, "mass", "--dim", "8", "--cache", cache)[0] == 0
-    for every in ("0", "-3"):
-        argv = ("mass", "--dim", "8", "--cache", cache, "--checkpoint-every", every)
-        assert run(capsys, *argv)[0] == 2
 
 
 def test_console_script_help():

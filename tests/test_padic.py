@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import latmass
 
 from latmass.padic import (
     block_matrix,
@@ -119,6 +125,29 @@ def test_jordan_odd_p():
     assert jordan_decompose(m2, 3) == (("u", 0, 1), ("u", 0, 1))
     m3 = ((F(2), F(0)), (F(0), F(1)))
     assert jordan_decompose(m3, 3) == (("u", 0, 1), ("u", 0, 2))
+
+
+def test_not_half_integral_raises_under_optimize():
+    # the input check is a raise, not an assert, so it holds under python -O
+    script = (
+        "from fractions import Fraction as F\n"
+        "from latmass.padic import jordan_decompose\n"
+        "for mat, p in [\n"
+        "    (((F(1, 3),),), 3),\n"
+        "    (((F(2), F(1, 4)), (F(1, 4), F(2))), 2),\n"
+        "    (((F(2), F(1)), (F(0), F(2))), 5),\n"
+        "]:\n"
+        "    try:\n"
+        "        jordan_decompose(mat, p)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ValueError for {mat} at p = {p}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_i_invariant_frozen():

@@ -1,9 +1,14 @@
 """Reduction to odd lattices and the class-number machinery built on it."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latmass
 from latmass.reduction import (
     OddMassTable,
     bound_dim31,
@@ -36,7 +41,7 @@ def test_mod_ceiling_cases():
     assert mod_ceiling(Fraction(2, 3)) == 2
     assert mod_ceiling(Fraction(17, 3)) == 7  # 5 + 2/3
     assert mod_ceiling(Fraction(2, 4)) == 1  # reduces to 1/2 first
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mod_ceiling(Fraction(-1, 2))
 
 
@@ -164,6 +169,56 @@ def test_dim31_and_dim32_bounds():
     assert odd32 == Fraction(2147442975, 2) * M32_NO_ROOTS
     assert 5.8e15 < float(odd32) < 5.9e15
     assert bound_dim32_odd(Fraction(0)) == 0
+
+
+def test_checks_raise_under_optimize():
+    # bad arguments raise ValueError and failed self-checks RuntimeError,
+    # not asserts, so they hold under python -O too
+    script = (
+        "from fractions import Fraction\n"
+        "from latmass import reduction as red\n"
+        "from latmass.roots import RootSystem\n"
+        "from latmass.solver import MassTable\n"
+        "R = RootSystem.parse\n"
+        "e8 = MassTable(8, {R('E8'): Fraction(1, 696729600)})\n"
+        "heavy_e8 = MassTable(8, {R('E8'): Fraction(1)})\n"
+        "def odd16():\n"
+        "    table = red.OddMassTable(16)\n"
+        "    table._add(8, R('E8'), R('E8^2'), Fraction(1, 3))\n"
+        "    return table\n"
+        "calls = [\n"
+        "    (ValueError, lambda: red._orbit_factor(0)),\n"
+        "    (ValueError, lambda: red.reduce_masses(MassTable(12, {}))),\n"
+        "    (ValueError, lambda: red.milgram_norm4_count(12)),\n"
+        "    (ValueError, lambda: red.mod_ceiling(Fraction(-1, 2))),\n"
+        "    (ValueError, lambda: red.class_lower_bound(odd16(), 0)),\n"
+        "    (ValueError, lambda: red.class_lower_bound(odd16(), 15)),\n"
+        "    (RuntimeError, lambda: odd16()._add(8, R('E8'), R('D16'), Fraction(0))),\n"
+        "    (RuntimeError, lambda: red.reduce_masses(MassTable(8, {R('E8'): Fraction(-1)}))),\n"
+        "    (RuntimeError, lambda: red.class_lower_bound(odd16(), 1)),\n"
+        "    (RuntimeError, lambda: red.class_lower_bound(odd16(), 8, {8: heavy_e8})),\n"
+        "]\n"
+        "for i, (error, call) in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no {error.__name__} from call {i}')\n"
+        "red.no_root_masses(e8)\n"
+        "red._no_root_closed_forms = lambda table: {0: Fraction(2)}\n"
+        "red._consumed_weight = lambda kind, rank: 0\n"
+        "for check in (lambda: red.no_root_masses(e8), red._check_factor_identities):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except RuntimeError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no RuntimeError from {check}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_odd_table_accessors():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmass.roots import RootSystem
+from latmass.roots import RootSystem, enumerate_systems
 from latmass.solver import (
     CheckpointMismatch,
     MassTable,
@@ -45,6 +45,22 @@ def test_solve_dimension_16():
     assert table.total_mass == genus_mass(16)
 
 
+def test_filters_drop_only_zero_masses(monkeypatch, table8, table16):
+    # the solve enumerates with the square-determinant and Borcherds filters;
+    # on the full list the dropped systems must come out with mass 0
+    def unfiltered(max_rank, dim=None):
+        return enumerate_systems(max_rank, dim=dim, filters=False)
+
+    monkeypatch.setattr("latmass.solver.enumerate_systems", unfiltered)
+    for filtered in (table8, table16):
+        d = filtered.dim
+        counts = set()
+        table = solve_masses(d, progress=lambda done, count, rs, m: counts.add(count))
+        assert counts == {len(unfiltered(d, dim=d))}
+        assert len(unfiltered(d, dim=d)) > len(enumerate_systems(d, dim=d))
+        assert table.masses == filtered.masses
+
+
 class Interrupted(Exception):
     pass
 
@@ -62,10 +78,10 @@ def stop_after(limit):
 def test_checkpoint_resume(tmp_path):
     path = str(tmp_path / "dim16.json")
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=path, checkpoint_every=100, progress=stop_after(150))
+        solve_masses(16, checkpoint=path, progress=stop_after(750))
     with open(path) as fh:
-        assert json.load(fh)["done"] == 100
-    resumed = solve_masses(16, checkpoint=path, checkpoint_every=100)
+        assert json.load(fh)["done"] == 500
+    resumed = solve_masses(16, checkpoint=path)
     assert resumed.masses == solve_masses(16).masses
 
 
@@ -73,17 +89,20 @@ def test_checkpoint_written_before_progress(tmp_path):
     # a run stopped from its callback on a checkpoint step keeps that step
     path = str(tmp_path / "dim16.json")
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=path, checkpoint_every=10, progress=stop_after(10))
+        solve_masses(16, checkpoint=path, progress=stop_after(500))
     with open(path) as fh:
-        assert json.load(fh)["done"] == 10
+        assert json.load(fh)["done"] == 500
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
-    path = str(tmp_path / "dim16.json")
+    # a checkpoint written for another solve order
+    path = tmp_path / "dim16.json"
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=path, checkpoint_every=5, progress=stop_after(10))
+        solve_masses(16, checkpoint=str(path), progress=stop_after(500))
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps({**data, "order_digest": "0" * 16}))
     with pytest.raises(CheckpointMismatch, match="does not match"):
-        solve_masses(16, checkpoint=path, filters=False)
+        solve_masses(16, checkpoint=str(path))
 
 
 def test_mass_table_save_load(tmp_path):
@@ -120,7 +139,7 @@ def test_saved_table_checks(tmp_path):
 def test_checkpoint_with_unsolved_mass_rejected(tmp_path):
     path = tmp_path / "dim16.json"
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=str(path), checkpoint_every=5, progress=stop_after(10))
+        solve_masses(16, checkpoint=str(path), progress=stop_after(500))
     data = json.loads(path.read_text())
     data["masses"]["A1"] = "1/7"  # A1 is solved near the end
     # a matching digest, so that only the unsolved-system check can object
@@ -135,7 +154,7 @@ def test_edited_checkpoint_mass_rejected(tmp_path):
     # holds its mass; 1/3 is positive and no genus total applies yet
     path = tmp_path / "dim16.json"
     with pytest.raises(Interrupted):
-        solve_masses(16, checkpoint=str(path), checkpoint_every=500, progress=stop_after(1500))
+        solve_masses(16, checkpoint=str(path), progress=stop_after(1500))
     good = json.loads(path.read_text())
     assert (good["done"], good["count"]) == (1500, 2013)
     edited = {**good, "masses": {**good["masses"], "D16": "1/3"}}
