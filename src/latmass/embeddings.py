@@ -6,6 +6,14 @@ of T isomorphic to S weighted by |Aut S|, so rep_count(S, S) = |Aut S|.
 The recursion peels the largest component of S and consults a table of
 per-component subsystem counts together with the orthogonal complement
 left inside the target component.
+
+The recursion runs on canonical component tuples ((kind, rank, mult), ...),
+the `components` of a RootSystem, and carries the rank and root count of
+source and target as integers, so a branch whose source no longer fits is
+cut before its target is built.  Each new target is the old one with one
+component swapped for its complement (`_swap`), merged in canonical order.
+Results are memoised in `_MEMO` under the key (source components, target
+components) until it holds `_MEMO_CAP` entries, when it is cleared.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .roots import RootSystem, _component_aut
+from .roots import RootSystem, _component_aut, _component_roots
 
 # Explicit counts for exceptional targets: (source kind, source rank,
 # target E rank) -> ((copies, complement parts), ...).
@@ -84,6 +92,51 @@ def component_rows(sk: str, sr: int, tk: str, tr: int) -> tuple:
     return _E_TABLE.get((sk, sr, tr), ())
 
 
+@lru_cache(maxsize=None)
+def _peel_rows(sk: str, sr: int, tk: str, tr: int) -> tuple:
+    """component_rows ready for the recursion, one row per nonzero copy
+    count: (weight, complement, rank change, root count change).  The
+    weight is copies times |Aut| of the source component.  The complement
+    is canonical, its degenerate indices (A0, A-1, D0 to D3) normalized as
+    from_parts does, and the changes are what swapping the target component
+    for it does to the target's rank and root count."""
+    aut = _component_aut(sk, sr)
+    rows = []
+    for copies, parts in component_rows(sk, sr, tk, tr):
+        if copies:
+            rest = RootSystem.from_parts(parts)
+            rows.append(
+                (
+                    copies * aut,
+                    rest.components,
+                    rest.rank - tr,
+                    rest.root_count - _component_roots(tk, tr),
+                )
+            )
+    return tuple(rows)
+
+
+def _swap(target: tuple, i: int, complement: tuple) -> tuple:
+    """The canonical target with one copy of its i-th component replaced by
+    a canonical complement.  Canonical order is by (rank, kind), and for the
+    kinds A < D < E met here the letters compare in that order."""
+    kind, rank, mult = target[i]
+    comps = list(target)
+    if mult > 1:
+        comps[i] = (kind, rank, mult - 1)
+    else:
+        del comps[i]
+    for ck, cr, cm in complement:
+        j, n = 0, len(comps)
+        while j < n and (comps[j][1], comps[j][0]) < (cr, ck):
+            j += 1
+        if j < n and comps[j][1] == cr and comps[j][0] == ck:
+            comps[j] = (ck, cr, comps[j][2] + cm)
+        else:
+            comps.insert(j, (ck, cr, cm))
+    return tuple(comps)
+
+
 _MEMO: dict = {}
 _MEMO_CAP = 1 << 20
 
@@ -91,25 +144,47 @@ _MEMO_CAP = 1 << 20
 def rep_count(source: RootSystem, target: RootSystem) -> int:
     """Number of inner product preserving maps of a simple system of the
     source into the roots of the target."""
+    # Z (rank 1, first kind) sorts first in a canonical system
+    for rs in (source, target):
+        if rs.components and rs.components[0][0] == "Z":
+            raise ValueError(f"rep_count({source}, {target}): Z components have no roots")
     if not source.components:
         return 1
     if source.rank > target.rank or source.root_count > target.root_count:
         return 0
-    key = (source.components, target.components)
+    return _count(
+        source.components,
+        target.components,
+        source.rank,
+        source.root_count,
+        target.rank,
+        target.root_count,
+    )
+
+
+def _count(
+    source: tuple, target: tuple, s_rank: int, s_roots: int, t_rank: int, t_roots: int
+) -> int:
+    """rep_count on nonempty canonical component tuples, whose ranks and root
+    counts are given and fit: the source's are at most the target's."""
+    key = (source, target)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    sk, sr, _ = source.components[-1]
-    if sk == "Z" or any(k == "Z" for k, _, _ in target.components):
-        raise ValueError(f"rep_count({source}, {target}): Z components have no roots")
-    sub = source.remove(sk, sr)
-    aut = _component_aut(sk, sr)
+    sk, sr, sm = source[-1]
+    sub = source[:-1] + ((sk, sr, sm - 1),) if sm > 1 else source[:-1]
+    sub_rank = s_rank - sr
+    sub_roots = s_roots - _component_roots(sk, sr)
     total = 0
-    for tk, tr, mult in target.components:
-        for copies, parts in component_rows(sk, sr, tk, tr):
-            if copies:
-                rest = target.remove(tk, tr).add_parts(parts)
-                total += mult * copies * aut * rep_count(sub, rest)
+    for i, (tk, tr, tm) in enumerate(target):
+        for weight, complement, d_rank, d_roots in _peel_rows(sk, sr, tk, tr):
+            if not sub:
+                total += tm * weight
+            elif sub_rank <= t_rank + d_rank and sub_roots <= t_roots + d_roots:
+                rest = _swap(target, i, complement)
+                total += tm * weight * _count(
+                    sub, rest, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots
+                )
     if len(_MEMO) >= _MEMO_CAP:
         _MEMO.clear()
     _MEMO[key] = total

@@ -22,7 +22,8 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m with the convention B_1 = -1/2."""
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"no Bernoulli number B_{m}")
     if m == 0:
         return Fraction(1)
     if m == 1:
@@ -52,7 +53,8 @@ def bernoulli_poly(m: int, x: Fraction) -> Fraction:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, primes ascending."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -107,7 +109,8 @@ class AnalyticScalar:
     pi_half: int = 0
 
     def __post_init__(self) -> None:
-        assert self.surd >= 1
+        if self.surd < 1:
+            raise ValueError(f"surd must be >= 1, got {self.surd}")
         if self.coeff == 0:
             object.__setattr__(self, "surd", 1)
             object.__setattr__(self, "pi_half", 0)
@@ -120,7 +123,8 @@ class AnalyticScalar:
     def sqrt_rational(cls, q: Fraction | int) -> "AnalyticScalar":
         """sqrt(q) for rational q > 0, as coeff * sqrt(squarefree)."""
         q = Fraction(q)
-        assert q > 0
+        if q <= 0:
+            raise ValueError(f"sqrt_rational needs q > 0, got {q}")
         # sqrt(a/b) = sqrt(a*b) / b
         s, r = squarefree_decompose(q.numerator * q.denominator)
         return cls(Fraction(s, q.denominator), r)
@@ -138,7 +142,8 @@ class AnalyticScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AnalyticScalar":
-        assert self.coeff != 0
+        if self.coeff == 0:
+            raise ValueError("zero has no inverse")
         # 1 / sqrt(r) = sqrt(r) / r
         return AnalyticScalar(
             1 / (self.coeff * self.surd), self.surd, -self.pi_half
@@ -172,7 +177,8 @@ class AnalyticScalar:
 
 def gamma_half(i: int) -> AnalyticScalar:
     """Gamma(i/2) for integer i >= 1."""
-    assert i >= 1
+    if i < 1:
+        raise ValueError(f"gamma_half needs i >= 1, got {i}")
     if i % 2 == 0:
         return AnalyticScalar(Fraction(math.factorial(i // 2 - 1)))
     # Gamma(i/2) = (i-2)!! / 2^((i-1)/2) * sqrt(pi)
@@ -186,7 +192,8 @@ def zeta_value(s: int) -> AnalyticScalar:
     """Riemann zeta at s = 0 or even s >= 2."""
     if s == 0:
         return AnalyticScalar(Fraction(-1, 2))
-    assert s >= 2 and s % 2 == 0
+    if s < 2 or s % 2:
+        raise ValueError(f"zeta_value needs s = 0 or even s >= 2, got {s}")
     coeff = (-1) ** (s // 2 + 1) * bernoulli(s) * Fraction(2 ** (s - 1), math.factorial(s))
     return AnalyticScalar(coeff, 1, 2 * s)
 
@@ -229,7 +236,8 @@ def kronecker_symbol(a: int, n: int) -> int:
 def fundamental_discriminant(d: Fraction | int) -> int:
     """Fundamental discriminant of Q(sqrt(d)); 1 if d is a square."""
     d = Fraction(d)
-    assert d != 0
+    if d == 0:
+        raise ValueError("0 has no fundamental discriminant")
     # multiplying by a square leaves the field unchanged
     n = d.numerator * d.denominator
     sign = -1 if n < 0 else 1
@@ -283,7 +291,8 @@ def l_value(s: int, chi: DirichletCharacter) -> AnalyticScalar:
         return zeta_value(s)
     if s == 0:
         return AnalyticScalar(-generalized_bernoulli(1, chi))
-    assert s >= 1
+    if s < 1:
+        raise ValueError(f"l_value needs s = 0 or s >= 1, got {s}")
     if (s % 2 == 1) != chi.is_odd:
         raise ValueError(
             f"L({s}, chi) with chi of discriminant {chi.disc}:"

@@ -174,7 +174,9 @@ def solve_masses(
     for rs, a in zip(todo, values):
         acc = genus * a
         for rs_j, m_j in nonzero:
-            acc -= rep_count(rs, rs_j) * m_j
+            n = rep_count(rs, rs_j)
+            if n:  # most pairs count 0, and 0 * m_j still costs a Fraction op
+                acc -= n * m_j
         m = acc / rs.aut_order
         if m < 0:
             raise RuntimeError(f"negative mass for root system {rs}")

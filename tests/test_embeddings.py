@@ -1,5 +1,8 @@
 """Embedding counts against a brute-force root enumeration oracle."""
 
+import hashlib
+
+from latmass import embeddings
 from latmass.embeddings import component_rows, rep_count
 from latmass.roots import RootSystem, component_roots, enumerate_systems, system_gram
 from latmass.siegel import eisenstein_coefficient
@@ -89,3 +92,42 @@ def test_matches_eisenstein_in_dimension_8():
     for name in ["A1 D4", "A2^2", "D6", "A1 E6", "A1^2 A3", "A4"]:
         rs = parse(name)
         assert eisenstein_coefficient(rs, 8) == rep_count(rs, parse("E8")), name
+
+
+NIEMEIER = (
+    "D24", "D16 E8", "E8^3", "A24", "D12^2", "A17 E7", "D10 E7^2", "A15 D9",
+    "D8^3", "A12^2", "A11 D7 E6", "E6^4", "A9^2 D6", "D6^4", "A8^3",
+    "A7^2 D5^2", "A6^4", "A5^4 D4", "D4^6", "A4^6", "A3^8", "A2^12", "A1^24",
+)
+
+
+def dim24_pairs():
+    """Every 16th filtered dim-24 system against the Niemeier systems."""
+    niemeier = [parse(name) for name in NIEMEIER]
+    return [(s, t) for s in enumerate_systems(24, dim=24)[::16] for t in niemeier]
+
+
+def dim16_pairs():
+    """Every filtered dim-16 system against D16 and E8^2."""
+    targets = [parse("D16"), parse("E8^2")]
+    return [(s, t) for s in enumerate_systems(16, dim=16) for t in targets]
+
+
+def test_rep_count_matches_recorded():
+    # digest of the "source<TAB>target<TAB>count" lines, recorded with the
+    # RootSystem-based recursion this one replaced
+    lines = [f"{s}\t{t}\t{rep_count(s, t)}" for s, t in dim24_pairs() + dim16_pairs()]
+    assert len(lines) == 47312
+    assert (
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        == "d03b4e99d6bd9a72cf3e8a8ca969cd915e5cf25100a45c6c8d231319100d181d"
+    )
+
+
+def test_memo_cap_clears(monkeypatch):
+    pairs = dim16_pairs()
+    want = [rep_count(s, t) for s, t in pairs]
+    monkeypatch.setattr(embeddings, "_MEMO", {})
+    monkeypatch.setattr(embeddings, "_MEMO_CAP", 16)
+    assert [rep_count(s, t) for s, t in pairs] == want
+    assert 0 < len(embeddings._MEMO) <= 16

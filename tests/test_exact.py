@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import latmass
 from latmass.exact import (
     AnalyticScalar,
     DirichletCharacter,
@@ -161,3 +166,34 @@ def test_l_values_against_mpmath():
         got = as_mpf(l_value(s, DirichletCharacter(disc)))
         want = hurwitz_l(s, disc)
         assert mp.almosteq(got, want, rel_eps=mp.mpf(10) ** -50), (s, disc)
+
+
+def test_bad_arguments_raise_under_optimize():
+    # the argument checks are raises, not asserts, so they hold under python -O
+    script = (
+        "from fractions import Fraction as F\n"
+        "from latmass.exact import *\n"
+        "calls = [\n"
+        "    lambda: bernoulli(-1),\n"
+        "    lambda: factorize(0),\n"
+        "    lambda: squarefree_decompose(0),\n"
+        "    lambda: AnalyticScalar(F(1), 0),\n"
+        "    lambda: AnalyticScalar.sqrt_rational(0),\n"
+        "    lambda: AnalyticScalar(F(0)).inverse(),\n"
+        "    lambda: gamma_half(0),\n"
+        "    lambda: zeta_value(3),\n"
+        "    lambda: fundamental_discriminant(0),\n"
+        "    lambda: l_value(-1, DirichletCharacter(-4)),\n"
+        "]\n"
+        "for i, call in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ValueError from call {i}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

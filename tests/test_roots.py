@@ -232,6 +232,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: roots.component_gram('D', 3),\n"
         "    lambda: rep_count(R('Z'), R('A1')),\n"
         "    lambda: rep_count(R('A1'), R('Z A1')),\n"
+        "    lambda: rep_count(R('Z^3'), R('A1')),\n"
+        "    lambda: rep_count(R('A1'), R('Z')),\n"
         "]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"
