@@ -71,7 +71,8 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: int | None) -> int:
     place.  At a prime, a thin wrapper over the integer core that
     hasse_invariant also uses."""
     if p is None:
-        assert a != 0 and b != 0
+        if not a or not b:
+            raise ValueError(f"the Hilbert symbol needs nonzero rationals, got {a}, {b}")
         return -1 if a < 0 and b < 0 else 1
     return _hilbert(*_split(a, p), *_split(b, p), p)
 
@@ -145,7 +146,8 @@ def _min_valuations(b, active, p):
                     best, best_diag, best_off = v, None, (i, j)
                 elif v == best and best_off is None:
                     best_off = (i, j)
-    assert best is not None
+    if best is None:
+        raise ValueError("the matrix is degenerate")
     return best, best_diag, best_off
 
 
@@ -185,7 +187,8 @@ def _merge_units_odd(blocks: list[Block], p: int) -> list[Block]:
     qnr = next(r for r in range(2, p) if _legendre(r, p) == -1)
     by_scale: dict[int, list[int]] = {}
     for kind, e, u in blocks:
-        assert kind == "u"
+        if kind != "u":
+            raise ValueError(f"block {(kind, e, u)} at p = {p}: odd primes have unit blocks only")
         by_scale.setdefault(e, []).append(u)
     out: list[Block] = []
     for e in sorted(by_scale):
@@ -225,7 +228,8 @@ def _canonicalize_2(blocks: list[Block]) -> list[Block]:
             a, b, c = us[:3]
             s = (a + b + c) % 8
             t = (a * b * c * s) % 8
-            assert t in (3, 7)
+            if t not in (3, 7):
+                raise ArithmeticError(f"units {a}, {b}, {c} of scale {e} leave no even binary form")
             evens.setdefault(e + 1, [0, 0])[0 if t == 7 else 1] += 1
             us = sorted([s] + us[3:])
         if us:
@@ -272,7 +276,8 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
             if v != 2 * e - 2:
                 raise ArithmeticError(f"2x2 block of scale {e} has determinant valuation {v}")
             r = w % 8
-            assert r in (3, 7)
+            if r not in (3, 7):
+                raise ArithmeticError(f"2x2 block of scale {e} has determinant class {r} mod 8")
             raw.append(("h" if r == 7 else "y", e, 0))
             active = _eliminate_rank2(b, active, i, j)
             continue
@@ -366,7 +371,8 @@ def local_invariants(blocks: tuple[Block, ...], p: int) -> LocalInvariants:
     if p == 2:
         dv += 2 * (n // 2)
     d = dv
-    assert d >= 0
+    if d < 0:
+        raise ValueError(f"blocks {blocks} at p = {p} are not those of a half-integral matrix")
     if n % 2:
         delta = d
     else:

@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 _KIND_ORDER = {"Z": -1, "A": 0, "D": 1, "E": 2}
 _TOKEN = re.compile(r"^([ADE])(-?\d+)(?:\^(\d+))?$|^(Z)(?:\^(\d+))?$")
@@ -274,63 +273,81 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     rank dim whose determinant is not a square and, in dimension 32, those
     whose root count some component's Borcherds modulus does not divide.
 
-    One recursion over components in name order (A by rank, then D, then E)
-    carries rank, determinant, root count, the lcm of the moduli and the
-    name tokens, so each filter is one integer test and a RootSystem is
-    built only for the systems kept, with those invariants cached."""
-    full_rank = dim if filters else None
+    One recursion adds components in canonical (rank, kind) order, so the
+    components it has pushed already are the RootSystem's components.  It
+    carries rank, determinant, root count, the lcm of the moduli and one
+    stack of name tokens per kind, tests each candidate's filters before
+    pushing it, and recurses only while a further component fits.  A
+    RootSystem is built only for the systems kept, with those invariants
+    and the name cached."""
+    if max_rank < 0:
+        raise ValueError(f"max_rank must be at least 0, got {max_rank}")
+    # budget left when a system reaches rank dim; -1 (never) without that filter
+    full_left = max_rank - dim if filters and dim is not None else -1
     borcherds = filters and dim == 32
-    # per component type: (rank, Borcherds modulus, index of the next
-    # kind's first type, steps), one step per multiplicity that fits, as
-    # (rank used, det factor, root count, name token, component)
+    a_names, d_names, e_names = [], [], []
+    names = {"A": a_names, "D": d_names, "E": e_names}
+    comps = [
+        (kind, r)
+        for r in range(1, max_rank + 1)
+        for kind in ("A", "D", "E")
+        if kind == "A" or kind == "D" and r >= 4 or r in (6, 7, 8)
+    ]
+    next_ranks = [r for _, r in comps[1:]] + [max_rank + 1]
+    # per component type, in canonical order: (rank, Borcherds modulus,
+    # rank of the next type, name stack, steps), one step per multiplicity
+    # that fits, as (rank used, det factor, root count, token, component)
     types = []
-    for kind, ranks in (
-        ("A", range(1, max_rank + 1)),
-        ("D", range(4, max_rank + 1)),
-        ("E", [n for n in (6, 7, 8) if n <= max_rank]),
-    ):
-        next_kind = len(types) + len(ranks)
-        for r in ranks:
-            det, roots = _component_determinant(kind, r), _component_roots(kind, r)
-            base = f"{kind}{r}"
-            steps = [
-                (r * m, det**m, roots * m, base if m == 1 else f"{base}^{m}", (kind, r, m))
-                for m in range(1, max_rank // r + 1)
-            ]
-            types.append((r, _borcherds_mod(kind, r), next_kind, steps))
+    for (kind, r), next_r in zip(comps, next_ranks):
+        det, roots = _component_determinant(kind, r), _component_roots(kind, r)
+        base = f"{kind}{r}"
+        steps = [
+            (r * m, det**m, roots * m, base if m == 1 else f"{base}^{m}", (kind, r, m))
+            for m in range(1, max_rank // r + 1)
+        ]
+        types.append((r, _borcherds_mod(kind, r), next_r, names[kind], steps))
     n_types = len(types)
-    kept: list[tuple] = []
+    buckets: list[list[tuple]] = [[] for _ in range(max_rank + 1)]
     parts: list[tuple[str, int, int]] = []
-    names: list[str] = []
 
-    def build(idx: int, budget: int, det: int, roots: int, mod: int):
-        rank = max_rank - budget
-        if (rank != full_rank or math.isqrt(det) ** 2 == det) and not (borcherds and roots % mod):
-            kept.append((rank, -det, " ".join(names) or "0", roots, tuple(parts)))
-        i = idx
+    def build(i: int, budget: int, det: int, roots: int, mod: int):
+        # add one component of type i or later to the system on the stacks
         while i < n_types:
-            r, r_mod, next_kind, steps = types[i]
+            r, r_mod, next_r, stack, steps = types[i]
             if r > budget:
-                i = next_kind  # ranks ascend within a kind
-                continue
+                break  # ranks ascend over the whole type list
             i += 1
             sub_mod = math.lcm(mod, r_mod)
             for used, cdet, croots, token, part in steps:
-                if used > budget:
+                left = budget - used
+                if left < 0:
                     break
+                d, n_roots = det * cdet, roots + croots
+                keep = (left != full_left or math.isqrt(d) ** 2 == d) and not (
+                    borcherds and n_roots % sub_mod
+                )
+                grow = next_r <= left
+                if not (keep or grow):
+                    continue
                 parts.append(part)
-                names.append(token)
-                build(i, budget - used, det * cdet, roots + croots, sub_mod)
-                names.pop()
+                stack.append(token)
+                if keep:
+                    buckets[max_rank - left].append(
+                        (-d, " ".join(a_names + d_names + e_names), n_roots, tuple(parts))
+                    )
+                if grow:
+                    build(i, left, d, n_roots, sub_mod)
+                stack.pop()
                 parts.pop()
 
+    buckets[0].append((-1, "0", 0, ()))  # the empty system passes every filter
     build(0, max_rank, 1, 0, 1)
-    kept.sort()
-    canonical = itemgetter(1, 0)  # (rank, kind) with A < D < E; no Z is enumerated
     out = []
-    for rank, neg_det, name, roots, found in kept:
-        rs = RootSystem(tuple(sorted(found, key=canonical)))
-        # cached properties read the instance dict first: seed them
-        rs.__dict__.update(name=name, rank=rank, det=-neg_det, root_count=roots)
-        out.append(rs)
+    for rank, bucket in enumerate(buckets):
+        bucket.sort()  # on (-det, name): names are unique
+        for neg_det, name, roots, components in bucket:
+            rs = RootSystem(components)
+            # cached properties read the instance dict first: seed them
+            rs.__dict__.update(name=name, rank=rank, det=-neg_det, root_count=roots)
+            out.append(rs)
     return out

@@ -85,8 +85,8 @@ def _odd_step(rest, n, q, xi, xi_prime, eta, delta, delta_r):
 def _peel_rank1(blocks, p, b1, rest):
     inv_b = local_invariants(blocks, p)
     inv_r = local_invariants(rest, p)
-    if inv_r.i is not None:
-        assert b1[1] >= inv_r.i - 1 + (2 if p == 2 else 0)
+    if inv_r.i is not None and b1[1] < inv_r.i - 1 + (2 if p == 2 else 0):
+        raise ArithmeticError(f"block {b1} lies below the scale of the rest {rest} at p = {p}")
     n = inv_b.n
     r = f_polynomial(rest, p)
     if n % 2 == 0:
@@ -101,8 +101,8 @@ def _peel_rank2(blocks, peeled, rest):
     m = peeled[0][1]
     inv_b = local_invariants(blocks, 2)
     inv_r = local_invariants(rest, 2)
-    if inv_r.i is not None:
-        assert m >= inv_r.i + 1
+    if inv_r.i is not None and m < inv_r.i + 1:
+        raise ArithmeticError(f"blocks {peeled} lie below the scale of the rest {rest} at p = 2")
     inv_t = local_invariants(with_unit(rest, m, 2), 2)
     n = inv_b.n
     pair = peeled[0][0] == "u"
@@ -137,12 +137,14 @@ def f_polynomial(blocks, p: int) -> tuple[int, ...]:
     top = max(b[1] for b in blocks)
     if p != 2:
         b1 = blocks[-1]
-        assert b1[1] == top
+        if b1[1] != top:
+            raise ArithmeticError(f"last block of {blocks} is not of top scale {top} at p = {p}")
         out = _peel_rank1(blocks, p, b1, blocks[:-1])
     else:
         units = [b for b in blocks if b[1] == top and b[0] == "u"]
-        if len(units) >= 2:
-            assert len(units) == 2  # canonical forms carry at most two per scale
+        if len(units) > 2:
+            raise ArithmeticError(f"{blocks} has {len(units)} units of scale {top}, not canonical")
+        if len(units) == 2:
             peeled = tuple(units)
             out = _peel_rank2(blocks, peeled, _without(blocks, peeled))
         elif len(units) == 1:
@@ -205,19 +207,23 @@ def _l_norm(s: int, disc: int) -> AnalyticScalar:
 def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
     """Coefficient at a half-integral B of rank n and determinant det_b;
     blocks_at(p) gives the Jordan blocks of B at p."""
+    if dim % 2:
+        raise ValueError(f"dim must be even, got {dim}")
     if n == 0:
         return Fraction(1)
-    assert dim % 2 == 0 and n <= dim
+    if n > dim:
+        raise ValueError(f"rank {n} exceeds dim {dim}")
     k = dim // 2
-    assert (n * k) % 2 == 0
+    if n * k % 2:
+        raise ValueError(f"rank {n} and weight dim / 2 = {k} are both odd")
     disc_b = det_b * Fraction(4) ** (n // 2)
-    assert disc_b.denominator == 1
+    if disc_b.denominator != 1:
+        raise ValueError(f"det {det_b} is not that of a half-integral matrix of rank {n}")
     total = AnalyticScalar.from_rational(
         Fraction(_sgn(n * k // 2)) * Fraction(2) ** (n * k - n * (n - 1) // 2)
     )
     e = 2 * k - n - 1  # det B enters with exponent e / 2
-    if n % 2:
-        assert e % 2 == 0
+    if n % 2:  # then e is even
         total = total * det_b ** (e // 2)
     else:
         total = total * AnalyticScalar.sqrt_rational(det_b**e)
@@ -247,12 +253,14 @@ def coefficient_for_gram(gram, dim: int) -> Fraction:
     """Same coefficient for an arbitrary even positive definite Gram matrix."""
     half = tuple(tuple(Fraction(v, 2) for v in row) for row in gram)
     det_b = det(half)
-    assert det_b > 0
+    if det_b <= 0:
+        raise ValueError(f"gram has determinant {det_b * 2 ** len(gram)}, not positive")
     return _coefficient(len(gram), dim, det_b, lambda p: jordan_decompose(half, p))
 
 
 def scalar_coefficient(m: int, dim: int) -> Fraction:
     """Coefficient at the 1x1 matrix (m): the average number of vectors of
     norm 2m over the genus, Eisenstein normalised."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     return coefficient_for_gram(((2 * m,),), dim)

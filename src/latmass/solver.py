@@ -149,7 +149,8 @@ def solve_masses(
     systems = enumerate_systems(dim, dim=dim)
     genus = genus_mass(dim)
     count = len(systems)
-    digest = _order_digest([str(rs) for rs in systems])
+    # only a checkpoint records the order, so only a checkpointed run hashes it
+    digest = _order_digest([str(rs) for rs in systems]) if checkpoint else None
     done = 0
     nonzero: list[tuple[RootSystem, Fraction]] = []
 

@@ -150,6 +150,42 @@ def test_not_half_integral_raises_under_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def test_checks_raise_under_optimize():
+    # bad arguments raise ValueError and broken invariants ArithmeticError,
+    # also under python -O
+    script = (
+        "from fractions import Fraction as F\n"
+        "from latmass import padic\n"
+        "cases = [\n"
+        "    (ValueError, lambda: padic.hilbert_symbol(0, 1, None)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((F(0), F(0)), (F(0), F(0))), 3)),\n"
+        "    (ValueError, lambda: padic.merge_blocks([[('h', 1, 0)]], 3)),\n"
+        "    (ValueError, lambda: padic.local_invariants((('u', -1, 1),), 3)),\n"
+        "    (ArithmeticError, lambda: padic.merge_blocks([[('u', 0, 2)] * 3], 2)),\n"
+        "]\n"
+        "for i, (error, call) in enumerate(cases):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no {error.__name__} from case {i}')\n"
+        "# a 2x2 block's determinant class is 3 or 7 mod 8; fake another one\n"
+        "split = padic._split\n"
+        "padic._split = lambda x, p: (split(x, p)[0], 1)\n"
+        "try:\n"
+        "    padic.jordan_decompose(((F(0), F(1, 2)), (F(1, 2), F(0))), 2)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ArithmeticError from a 2x2 block of class 1')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_i_invariant_frozen():
     # least t with 2^t K^(-1) half-integral is -2 for both even binaries
     assert local_invariants((("h", 0, 0),), 2).i == -2

@@ -143,6 +143,11 @@ def test_small_enumeration_order():
     assert len(set(s8)) == len(s8)
 
 
+def test_smallest_enumerations():
+    assert enumerate_systems(0) == [EMPTY]
+    assert [str(rs) for rs in enumerate_systems(1)] == ["0", "A1"]
+
+
 def test_rank_equal_dim_filter():
     systems = enumerate_systems(8, dim=8)
     full = [rs for rs in systems if rs.rank == 8]
@@ -172,6 +177,25 @@ def test_enumeration_counts():
         names = [str(rs) for rs in enumerate_systems(dim, dim=dim, filters=filters)]
         assert len(names) == count, (dim, filters)
         assert _order_digest(names) == digest, (dim, filters)
+
+
+# dim -> (count, digest of repr(rs.components) in solver order), recorded
+# from the recursion that added components in name order and then sorted them
+COMPONENT_DIGESTS = {24: (30104, "cbe734c79d156ad4"), 32: (135443, "5a5091ce0a85d866")}
+
+
+def test_enumeration_components():
+    for dim, (count, digest) in COMPONENT_DIGESTS.items():
+        systems = enumerate_systems(dim, dim=dim)
+        assert len(systems) == count, dim
+        assert _order_digest([repr(rs.components) for rs in systems]) == digest, dim
+    # on every 97th dim-32 system: canonical components, and the invariants
+    # seeded by the recursion equal those a fresh RootSystem computes
+    for rs in systems[::97]:
+        assert rs.components == RootSystem.from_parts(rs.components).components
+        fresh = RootSystem(rs.components)
+        seeded = (rs.name, rs.rank, rs.det, rs.root_count)
+        assert seeded == (fresh.name, fresh.rank, fresh.det, fresh.root_count), rs.components
 
 
 def reference_systems(dim, filters):
@@ -230,6 +254,7 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: R('A1').remove('A', 1, 2),\n"
         "    lambda: roots.system_gram(R('Z A1')),\n"
         "    lambda: roots.component_gram('D', 3),\n"
+        "    lambda: roots.enumerate_systems(-1),\n"
         "    lambda: rep_count(R('Z'), R('A1')),\n"
         "    lambda: rep_count(R('A1'), R('Z A1')),\n"
         "    lambda: rep_count(R('Z^3'), R('A1')),\n"

@@ -148,6 +148,46 @@ def test_step_raises_under_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def test_checks_raise_under_optimize():
+    # bad arguments raise ValueError and broken invariants ArithmeticError,
+    # each from its own check, also under python -O (there E8 in dimension
+    # 6 used to fail later, in gamma_half)
+    script = (
+        "from latmass import siegel\n"
+        "from latmass.roots import RootSystem\n"
+        "R = RootSystem.parse\n"
+        "cases = [\n"
+        "    (ValueError, 'dim must be even', lambda: siegel.eisenstein_coefficient(R('A1'), 7)),\n"
+        "    (ValueError, 'exceeds dim', lambda: siegel.eisenstein_coefficient(R('E8'), 6)),\n"
+        "    (ValueError, 'both odd', lambda: siegel.eisenstein_coefficient(R('A1'), 2)),\n"
+        "    (ValueError, 'half-integral', lambda: siegel.coefficient_for_gram(((1,),), 8)),\n"
+        "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((2, 2), (2, 2)), 8)),\n"
+        "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((-2,),), 8)),\n"
+        "    (ValueError, 'm must be', lambda: siegel.scalar_coefficient(0, 8)),\n"
+        "    (ArithmeticError, 'below the scale', lambda: siegel._peel_rank1(\n"
+        "        (('u', 0, 1), ('u', 5, 1)), 3, ('u', 0, 1), (('u', 5, 1),))),\n"
+        "    (ArithmeticError, 'below the scale', lambda: siegel._peel_rank2(\n"
+        "        (('u', 0, 1), ('u', 0, 1), ('u', 5, 1)), (('u', 0, 1),) * 2, (('u', 5, 1),))),\n"
+        "    (ArithmeticError, 'top scale', lambda: siegel.f_polynomial(\n"
+        "        (('u', 2, 1), ('u', 0, 1)), 3)),\n"
+        "    (ArithmeticError, 'units of scale', lambda: siegel.f_polynomial(\n"
+        "        (('u', 1, 1),) * 3, 2)),\n"
+        "]\n"
+        "for i, (error, words, call) in enumerate(cases):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error as exc:\n"
+        "        if words in str(exc):\n"
+        "            continue\n"
+        "    raise SystemExit(f'no {error.__name__} about {words!r} from case {i}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_pair_block_eta_identity():
     # For an even 2x2 block on top of B2 with xi(B2) nonzero, the unit
     # adjoined at the top scale reproduces a product formula in terms of

@@ -11,6 +11,7 @@ from latmass.solver import (
     CheckpointMismatch,
     MassTable,
     _masses_digest,
+    _order_digest,
     genus_mass,
     solve_masses,
 )
@@ -92,6 +93,17 @@ def test_checkpoint_written_before_progress(tmp_path):
         solve_masses(16, checkpoint=path, progress=stop_after(500))
     with open(path) as fh:
         assert json.load(fh)["done"] == 500
+
+
+def test_checkpoint_records_order_digest(tmp_path, table16):
+    # only a checkpointed solve hashes the solve order; it must be the
+    # digest of the enumeration's names, and the masses those of a solve
+    # without a checkpoint
+    path = tmp_path / "dim16.json"
+    table = solve_masses(16, checkpoint=str(path))
+    names = [str(rs) for rs in enumerate_systems(16, dim=16)]
+    assert json.loads(path.read_text())["order_digest"] == _order_digest(names)
+    assert table.masses == table16.masses
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
