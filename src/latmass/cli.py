@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime
 import functools
 import json
 import os
@@ -123,6 +124,13 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
+def _thread_count(text: str) -> int:
+    n, limit = int(text), os.cpu_count() or 1
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{limit}, got {n}")
+    return n
+
+
 def _check_dim(dim: int) -> int:
     if dim not in EVEN_DIMS:
         raise UsageError(f"--dim must be one of {EVEN_DIMS}, got {dim}")
@@ -145,13 +153,21 @@ def _solve_cached(dim: int, args) -> MassTable:
     if cache:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, f"masses_dim{dim}.json")
-    solved = False
+    start = time.perf_counter()
+    first = None  # systems done before this process solved any
+    nonzero = 0
 
     def progress(done: int, count: int, rs, m) -> None:
-        nonlocal solved
-        solved = True
+        nonlocal first, nonzero
+        if first is None:
+            first = done - 1
+        if m:
+            nonzero += 1
         if done % 2000 == 0 or done == count:
-            _note(f"dim {dim}: solved {done}/{count} root systems")
+            # the rate counts only the systems solved in this process
+            rate = (done - first) / (time.perf_counter() - start)
+            eta = datetime.timedelta(seconds=round((count - done) / rate))
+            _note(f"dim {dim}: solved {done}/{count} root systems, {nonzero} nonzero, ETA {eta}")
 
     kwargs = dict(workers=getattr(args, "threads", None), checkpoint=path, progress=progress)
     try:
@@ -162,7 +178,7 @@ def _solve_cached(dim: int, args) -> MassTable:
         os.remove(path)
         table = solve_masses(dim, **kwargs)
     if path:
-        _note(f"{'cached' if solved else 'loaded cached'} table {path}")
+        _note(f"{'loaded cached' if first is None else 'cached'} table {path}")
     return table
 
 
@@ -177,10 +193,11 @@ def cmd_mass(args) -> None:
         raise UsageError(f"--max-rank must lie in 0..{dim}")
 
     if max_rank < dim:
-        # masses need full-rank systems; below that only coefficients exist
+        # masses need full-rank systems; below that only coefficients exist,
+        # for every system: the enumeration's filters are for the solve list
         columns = ("root_system", "coefficient", "decimal")
         rows = []
-        for rs in enumerate_systems(max_rank, dim=dim):
+        for rs in enumerate_systems(max_rank):
             value = eisenstein_coefficient(rs, dim)
             rows.append((str(rs), str(value), _decimal_str(value)))
         _emit(columns, rows, args, "coefficients", dim=dim, max_rank=max_rank)
@@ -381,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--cache", help="table cache directory (env LATTICE_MASS_CACHE)")
-        p.add_argument("--threads", type=int, help="worker processes for coefficients")
+        p.add_argument("--threads", type=_thread_count, help="worker processes, 1..nproc")
 
     p = add("mass", cmd_mass, "solve an even unimodular mass table")
     p.add_argument("--dim", type=int, required=True)

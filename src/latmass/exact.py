@@ -16,7 +16,7 @@ from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and Bernoulli polynomials
+# Bernoulli numbers
 
 
 @lru_cache(maxsize=None)
@@ -35,15 +35,6 @@ def bernoulli(m: int) -> Fraction:
     for j in range(m):
         acc += math.comb(m + 1, j) * bernoulli(j)
     return -acc / (m + 1)
-
-
-def bernoulli_poly(m: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j)."""
-    x = Fraction(x)
-    return sum(
-        (math.comb(m, j) * bernoulli(j) * x ** (m - j) for j in range(m + 1)),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +266,15 @@ class DirichletCharacter:
 
 
 def generalized_bernoulli(m: int, chi: DirichletCharacter) -> Fraction:
-    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f)."""
+    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), with B_m(x) expanded:
+    sum_j C(m, j) B_j f^(j-1) S_{m-j}, where S_t = sum_a chi(a) a^t."""
     f = chi.conductor
+    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
+    power_sums = [sum(c * a**t for a, c in support) for t in range(m + 1)]
     acc = Fraction(0)
-    for a in range(1, f + 1):
-        c = chi(a)
-        if c:
-            acc += c * bernoulli_poly(m, Fraction(a, f))
-    return Fraction(f) ** (m - 1) * acc
+    for j in range(m + 1):
+        acc += math.comb(m, j) * bernoulli(j) * Fraction(f) ** (j - 1) * power_sums[m - j]
+    return acc
 
 
 def l_value(s: int, chi: DirichletCharacter) -> AnalyticScalar:

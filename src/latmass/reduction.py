@@ -62,7 +62,7 @@ def _consumed_weight(kind: str, rank: int) -> int:
     """Sum over case-2 rows that empty the component of #v * orbit factor * w(rest)."""
     total = 0
     for count, drop, parts in _case2_rows(kind, rank):
-        rest = RootSystem.from_parts([(k, r, 1) for k, r in parts])
+        rest = RootSystem.from_parts(parts)
         total += count * _orbit_factor(drop - 1) * rest.weyl_order
     return total
 
@@ -155,21 +155,20 @@ def reduce_masses(table: MassTable) -> OddMassTable:
             hat1 = component_rows("A", 1, k1, r1)[0][1]  # complement of one root
             # case 1, both instances of the same type
             if mu1 >= 2:
-                target = source.remove(k1, r1, 2).add_parts(hat1 + hat1)
+                target = RootSystem.from_parts([*comps, (k1, r1, -2), *hat1, *hat1])
                 pairs = math.comb(mu1, 2)
                 out._add(table.dim - 2, target, source, m * pairs * v1 * v1)
             # case 1, instances of two distinct types
             for k2, r2, mu2 in comps[i + 1 :]:
                 v2 = _component_roots(k2, r2)
-                target = source.remove(k1, r1).remove(k2, r2).add_parts(
-                    hat1 + component_rows("A", 1, k2, r2)[0][1]
-                )
+                hat2 = component_rows("A", 1, k2, r2)[0][1]
+                target = RootSystem.from_parts([*comps, (k1, r1, -1), (k2, r2, -1), *hat1, *hat2])
                 out._add(table.dim - 2, target, source, m * mu1 * mu2 * v1 * v2)
             # case 2, both roots inside one instance
             for count, drop, parts in _case2_rows(k1, r1):
                 if count == 0:
                     continue
-                target = source.remove(k1, r1).add_parts(parts)
+                target = RootSystem.from_parts([*comps, (k1, r1, -1), *parts])
                 value = m * mu1 * count * _orbit_factor(drop - 1)
                 out._add(table.dim - drop, target, source, value)
     return out
@@ -328,18 +327,17 @@ def class_lower_bound(
     systems: dict[RootSystem, Fraction] = {}
     for j in range(n + 1):
         n0 = n - j
-        z_parts = [("Z", 1, 1)] * j
         z_norm = 2**j * math.factorial(j)
         if n0 == 0:
             # unique empty lattice; its reduction bucket carries mass exactly 1
             if odd_table.mass(0, EMPTY) != 1:
                 raise RuntimeError("the empty lattice does not have mass 1")
-            full = RootSystem.from_parts(z_parts)
+            full = RootSystem.from_parts([("Z", 1, j)])
             total += mod_ceiling(Fraction(1) * w_prime(full, n) / z_norm)
             systems[full] = Fraction(1, z_norm)
             continue
         for target in odd_table.systems(n0):
-            full = target.add_parts([(k, r) for k, r, _ in z_parts]) if j else target
+            full = RootSystem.from_parts([*target.components, ("Z", 1, j)])
             wp = w_prime(full, n)
             if j == 0 and n0 % 8 == 0:
                 # the bucket also counts even unimodular lattices; strip them

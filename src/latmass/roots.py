@@ -73,14 +73,19 @@ class RootSystem:
 
     @classmethod
     def from_parts(cls, parts) -> "RootSystem":
+        """The system of the given (kind, rank[, mult]) parts, multiplicity 1
+        by default.  Multiplicities are signed, so a system with some
+        components swapped out is one call: the net count of each component
+        must not be negative."""
         counts: dict[tuple[str, int], int] = {}
         for item in parts:
             kind, rank = item[0], item[1]
             mult = item[2] if len(item) > 2 else 1
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult} of {kind}{rank}")
             for nk, nr in normalize_component(kind, rank):
                 counts[nk, nr] = counts.get((nk, nr), 0) + mult
+        for (kind, rank), mult in counts.items():
+            if mult < 0:
+                raise ValueError(f"net multiplicity {mult} of {kind}{rank}")
         comps = tuple(
             (k, r, m)
             for (k, r), m in sorted(counts.items(), key=lambda t: (t[0][1], _KIND_ORDER[t[0][0]]))
@@ -102,8 +107,7 @@ class RootSystem:
                 parts.append(("Z", 1, int(m.group(5) or 1)))
             else:
                 kind, rank = m.group(1), int(m.group(2))
-                if kind == "E" and rank not in (6, 7, 8):
-                    raise ValueError(f"bad root system token: {token!r}")
+                # normalize_component would take these as empty systems
                 if kind == "A" and rank < 1 or kind == "D" and rank < 2:
                     raise ValueError(f"bad root system token: {token!r}")
                 parts.append((kind, rank, int(m.group(3) or 1)))
@@ -160,25 +164,6 @@ class RootSystem:
     @property
     def sort_key(self):
         return (self.rank, -self.det, self.name)
-
-    def remove(self, kind: str, rank: int, times: int = 1) -> "RootSystem":
-        parts = []
-        removed = 0
-        for k, r, m in self.components:
-            if k == kind and r == rank:
-                take = min(times - removed, m)
-                removed += take
-                m -= take
-            if m:
-                parts.append((k, r, m))
-        if removed != times:
-            raise ValueError(f"{self} has fewer than {times} components {kind}{rank}")
-        return RootSystem(tuple(parts))
-
-    def add_parts(self, parts) -> "RootSystem":
-        return RootSystem.from_parts(
-            [(k, r, m) for k, r, m in self.components] + [(k, r, 1) for k, r in parts]
-        )
 
 
 EMPTY = RootSystem(())
@@ -272,6 +257,9 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     filters on, systems that provably carry zero mass are dropped: those of
     rank dim whose determinant is not a square and, in dimension 32, those
     whose root count some component's Borcherds modulus does not divide.
+    The filters are for the solve list, which needs only the systems that
+    can carry mass; a listing of coefficients wants every system, so it
+    passes no dim.
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,37 @@ def test_mass_coefficient_mode(capsys):
     data = run_json(capsys, "mass", "--dim", "32", "--max-rank", "0")
     assert data["kind"] == "coefficients"
     assert data["rows"] == [{"root_system": "0", "coefficient": "1", "decimal": "1"}]
+
+
+def test_mass_coefficient_listing_has_every_system(capsys):
+    # the dim-32 solve list drops systems by Borcherds' root-count moduli,
+    # but every system has a coefficient: E7's is not 0
+    data = run_json(capsys, "mass", "--dim", "32", "--max-rank", "7")
+    values = {row["root_system"]: row["coefficient"] for row in data["rows"]}
+    assert len(data["rows"]) == len(values) == 62
+    assert {"A1 D6", "A1 E6", "D7", "E7"} <= values.keys()
+    coeff = run_json(capsys, "coeff", "E7", "--dim", "32")["rows"][0]["coefficient"]
+    assert values["E7"] == coeff != "0"
+
+
+def test_mass_progress_notes(capsys):
+    code, _, err = run(capsys, "mass", "--dim", "16")
+    assert code == 0
+    notes = err.strip().splitlines()
+    note = r"dim 16: solved 2000/2013 root systems, \d+ nonzero, ETA \d+:\d\d:\d\d"
+    assert re.fullmatch(note, notes[0])
+    assert notes[-1].startswith("dim 16: solved 2013/2013 root systems, 2 nonzero, ETA ")
+
+
+def test_threads_out_of_range_exit_2(capsys, tmp_path):
+    # rejected while parsing: no cache directory is made, no worker started
+    cache = tmp_path / "unused"
+    for threads in (0, -1, os.cpu_count() + 1):
+        with pytest.raises(SystemExit) as exc:
+            main(["mass", "--dim", "8", "--threads", str(threads), "--cache", str(cache)])
+        assert exc.value.code == 2
+        assert "--threads: must lie in 1.." in capsys.readouterr().err
+    assert not cache.exists()
 
 
 def test_mass_json_round_trips_exactly(capsys):

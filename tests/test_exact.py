@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +14,6 @@ from latmass.exact import (
     AnalyticScalar,
     DirichletCharacter,
     bernoulli,
-    bernoulli_poly,
     det,
     factorize,
     fundamental_discriminant,
@@ -38,10 +39,25 @@ def test_bernoulli_numbers():
     assert all(bernoulli(m) == 0 for m in (3, 5, 7, 9, 11))
 
 
-def test_bernoulli_poly():
-    # B_2(x) = x^2 - x + 1/6
-    assert bernoulli_poly(2, Fraction(1, 5)) == Fraction(1, 150)
-    assert bernoulli_poly(1, Fraction(1)) == Fraction(1, 2)
+def test_generalized_bernoulli_matches_textbook_sum():
+    # B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), with the Bernoulli
+    # polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j) written out here
+    def textbook(m, chi):
+        f = chi.conductor
+        acc = Fraction(0)
+        for a in range(1, f + 1):
+            x = Fraction(a, f)
+            b_m = sum(math.comb(m, j) * bernoulli(j) * x ** (m - j) for j in range(m + 1))
+            acc += chi(a) * b_m
+        return Fraction(f) ** (m - 1) * acc
+
+    rng = random.Random(10)
+    picks = [rng.choice([-1, 1]) * rng.randint(2, 150) for _ in range(12)]
+    discs = {fundamental_discriminant(d) for d in picks}
+    for disc in sorted(discs - {1}) + [-3, -4, 5, 8, -8]:
+        chi = DirichletCharacter(disc)
+        for m in range(1, 13):
+            assert generalized_bernoulli(m, chi) == textbook(m, chi), (m, disc)
 
 
 def test_squarefree_decompose():

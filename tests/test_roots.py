@@ -65,7 +65,7 @@ def test_parse_and_str_round_trip():
 
 
 def test_parse_rejects_junk():
-    for bad in ["E5", "B2", "A1^", "Q", "A", "E9", "A0", "D1"]:
+    for bad in ["E5", "B2", "A1^", "Q", "A", "E9", "E-6", "A0", "A-1", "D0", "D1"]:
         with pytest.raises(ValueError):
             RootSystem.parse(bad)
 
@@ -122,12 +122,14 @@ def test_reflection_closure_counts():
 
 
 def test_remove_and_add():
-    rs = RootSystem.parse("A1^2 D4")
-    assert rs.remove("A", 1) == RootSystem.parse("A1 D4")
-    assert rs.remove("A", 1, 2) == RootSystem.parse("D4")
-    assert rs.remove("D", 4).add_parts([("A", 1), ("A", 1)]) == RootSystem.parse("A1^4")
-    with pytest.raises(ValueError):
-        rs.remove("E", 8)
+    # signed multiplicities: a system with components swapped out is one call
+    comps = RootSystem.parse("A1^2 D4").components
+    assert RootSystem.from_parts([*comps, ("A", 1, -1)]) == RootSystem.parse("A1 D4")
+    assert RootSystem.from_parts([*comps, ("A", 1, -2)]) == RootSystem.parse("D4")
+    # D2 normalizes to A1^2 before the counts are summed
+    assert RootSystem.from_parts([*comps, ("D", 4, -1), ("D", 2)]) == RootSystem.parse("A1^4")
+    with pytest.raises(ValueError, match="E8"):
+        RootSystem.from_parts([*comps, ("E", 8, -1)])
 
 
 def test_small_enumeration_order():
@@ -208,7 +210,7 @@ def reference_systems(dim, filters):
     frontier = [EMPTY]
     while frontier:
         grown = {
-            rs.add_parts([part])
+            RootSystem.from_parts([*rs.components, part])
             for rs in frontier
             for part in kinds
             if rs.rank + part[1] <= dim
@@ -250,8 +252,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: roots.normalize_component('A', -2),\n"
         "    lambda: roots.normalize_component('B', 2),\n"
         "    lambda: roots.RootSystem.from_parts([('A', 1, -1)]),\n"
-        "    lambda: R('A1^2 D4').remove('E', 8),\n"
-        "    lambda: R('A1').remove('A', 1, 2),\n"
+        "    lambda: roots.RootSystem.from_parts([*R('A1^2 D4').components, ('E', 8, -1)]),\n"
+        "    lambda: roots.RootSystem.from_parts([('A', 1), ('A', 1, -2)]),\n"
         "    lambda: roots.system_gram(R('Z A1')),\n"
         "    lambda: roots.component_gram('D', 3),\n"
         "    lambda: roots.enumerate_systems(-1),\n"
