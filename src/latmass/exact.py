@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic for mass computations.
+"""Exact rational arithmetic for mass computations.
 
-Everything downstream (Siegel series, Eisenstein coefficients, masses) must
-come out as an exact rational.  Intermediate values live in the ring
-Q[sqrt(d), sqrt(pi)]: a rational coefficient times the square root of a
-squarefree integer times a half-integer power of pi.  All transcendental
-factors are required to cancel before a result is handed back as a Fraction.
+Bernoulli numbers, factoring and determinants, real primitive Dirichlet
+characters with their generalized Bernoulli numbers, and the values of the
+Riemann zeta function and of L(s, chi) at integers s <= 0, where they are
+rational.  Everything downstream (Siegel series, Eisenstein coefficients,
+masses) is a Fraction built from these.
 """
 
 from __future__ import annotations
@@ -85,108 +85,6 @@ def det(mat) -> Fraction:
             for t in range(c, n):
                 a[r][t] -= f * a[c][t]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Scalars in Q[sqrt(d), sqrt(pi)]
-
-
-@dataclass(frozen=True)
-class AnalyticScalar:
-    """coeff * sqrt(surd) * pi^(pi_half / 2), with surd squarefree >= 1."""
-
-    coeff: Fraction
-    surd: int = 1
-    pi_half: int = 0
-
-    def __post_init__(self) -> None:
-        if self.surd < 1:
-            raise ValueError(f"surd must be >= 1, got {self.surd}")
-        if self.coeff == 0:
-            object.__setattr__(self, "surd", 1)
-            object.__setattr__(self, "pi_half", 0)
-
-    @classmethod
-    def from_rational(cls, q: Fraction | int) -> "AnalyticScalar":
-        return cls(Fraction(q))
-
-    @classmethod
-    def sqrt_rational(cls, q: Fraction | int) -> "AnalyticScalar":
-        """sqrt(q) for rational q > 0, as coeff * sqrt(squarefree)."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError(f"sqrt_rational needs q > 0, got {q}")
-        # sqrt(a/b) = sqrt(a*b) / b
-        s, r = squarefree_decompose(q.numerator * q.denominator)
-        return cls(Fraction(s, q.denominator), r)
-
-    def __mul__(self, other: "AnalyticScalar | Fraction | int") -> "AnalyticScalar":
-        if not isinstance(other, AnalyticScalar):
-            return AnalyticScalar(self.coeff * other, self.surd, self.pi_half)
-        g = math.gcd(self.surd, other.surd)
-        return AnalyticScalar(
-            self.coeff * other.coeff * g,
-            (self.surd // g) * (other.surd // g),
-            self.pi_half + other.pi_half,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "AnalyticScalar":
-        if self.coeff == 0:
-            raise ValueError("zero has no inverse")
-        # 1 / sqrt(r) = sqrt(r) / r
-        return AnalyticScalar(
-            1 / (self.coeff * self.surd), self.surd, -self.pi_half
-        )
-
-    def __truediv__(self, other: "AnalyticScalar | Fraction | int") -> "AnalyticScalar":
-        if not isinstance(other, AnalyticScalar):
-            return AnalyticScalar(self.coeff / other, self.surd, self.pi_half)
-        return self * other.inverse()
-
-    def times_pi_half(self, m: int) -> "AnalyticScalar":
-        if self.coeff == 0:
-            return self
-        return AnalyticScalar(self.coeff, self.surd, self.pi_half + m)
-
-    def as_fraction(self) -> Fraction:
-        """Collapse to a rational; transcendental parts must have cancelled."""
-        if self.coeff == 0:
-            return Fraction(0)
-        if self.surd != 1 or self.pi_half != 0:
-            raise ArithmeticError(
-                f"scalar is not rational: {self.coeff} * sqrt({self.surd})"
-                f" * pi^({self.pi_half}/2)"
-            )
-        return self.coeff
-
-
-# ---------------------------------------------------------------------------
-# Gamma and zeta special values
-
-
-def gamma_half(i: int) -> AnalyticScalar:
-    """Gamma(i/2) for integer i >= 1."""
-    if i < 1:
-        raise ValueError(f"gamma_half needs i >= 1, got {i}")
-    if i % 2 == 0:
-        return AnalyticScalar(Fraction(math.factorial(i // 2 - 1)))
-    # Gamma(i/2) = (i-2)!! / 2^((i-1)/2) * sqrt(pi)
-    dfac = 1
-    for j in range(i - 2, 1, -2):
-        dfac *= j
-    return AnalyticScalar(Fraction(dfac, 2 ** ((i - 1) // 2)), 1, 1)
-
-
-def zeta_value(s: int) -> AnalyticScalar:
-    """Riemann zeta at s = 0 or even s >= 2."""
-    if s == 0:
-        return AnalyticScalar(Fraction(-1, 2))
-    if s < 2 or s % 2:
-        raise ValueError(f"zeta_value needs s = 0 or even s >= 2, got {s}")
-    coeff = (-1) ** (s // 2 + 1) * bernoulli(s) * Fraction(2 ** (s - 1), math.factorial(s))
-    return AnalyticScalar(coeff, 1, 2 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +175,15 @@ def generalized_bernoulli(m: int, chi: DirichletCharacter) -> Fraction:
     return acc
 
 
-def l_value(s: int, chi: DirichletCharacter) -> AnalyticScalar:
-    """Dirichlet L(s, chi) for s = 0 or integer s >= 1 of matching parity."""
-    if chi.is_trivial:
-        return zeta_value(s)
-    if s == 0:
-        return AnalyticScalar(-generalized_bernoulli(1, chi))
-    if s < 1:
-        raise ValueError(f"l_value needs s = 0 or s >= 1, got {s}")
-    if (s % 2 == 1) != chi.is_odd:
-        raise ValueError(
-            f"L({s}, chi) with chi of discriminant {chi.disc}:"
-            " parity mismatch, value is not a closed form"
-        )
-    f = chi.conductor
-    if s % 2 == 0:
-        sign = (-1) ** (s // 2 + 1)
-    else:
-        sign = (-1) ** ((s + 1) // 2)
-    coeff = sign * generalized_bernoulli(s, chi) * Fraction(
-        2 ** (s - 1), math.factorial(s) * f**s
-    )
-    return (
-        AnalyticScalar(coeff).times_pi_half(2 * s)
-        * AnalyticScalar.sqrt_rational(f)
-    )
+def l_value(s: int, chi: DirichletCharacter) -> Fraction:
+    """Dirichlet L(s, chi) at an integer s <= 0: -B_{1-s,chi} / (1 - s)."""
+    if s > 0:
+        raise ValueError(f"L(s, chi) is taken at integers s <= 0, got s = {s}")
+    return -generalized_bernoulli(1 - s, chi) / (1 - s)
+
+
+def zeta_value(s: int) -> Fraction:
+    """Riemann zeta at an integer s <= 0: -1/2 at 0, else -B_{1-s} / (1 - s)."""
+    if s > 0:
+        raise ValueError(f"zeta(s) is taken at integers s <= 0, got s = {s}")
+    return Fraction(-1, 2) if s == 0 else -bernoulli(1 - s) / (1 - s)

@@ -6,24 +6,19 @@ of degree at most d = ord_p of the discriminant of B.  We build it by
 Katsurada's recursion, peeling Jordan blocks of largest scale one at a time
 (two at a time where the rank-one step does not apply at p = 2); each step
 maps the integer coefficient list of the rest to that of the larger block
-list.  The Fourier coefficient then combines the local factors with Gamma
-factors and zeta and L normalisations in exact arithmetic.
+list.  The Fourier coefficient multiplies the local factors by a rational
+normalisation: the Gamma, zeta and L factors of Katsurada's formula, with
+zeta and L moved to non-positive integers by their functional equations, so
+that the powers of pi cancel in the derivation rather than at run time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    AnalyticScalar,
-    DirichletCharacter,
-    det,
-    factorize,
-    gamma_half,
-    l_value,
-    zeta_value,
-)
+from .exact import DirichletCharacter, det, factorize, l_value, zeta_value
 from .padic import jordan_decompose, local_invariants, merge_blocks, with_unit
 from .roots import RootSystem, component_gram
 
@@ -189,19 +184,68 @@ def system_blocks(rs: RootSystem, p: int):
 
 # ---------------------------------------------------------------------------
 # Global coefficients
+#
+# At B of rank n, weight k = dim / 2, h = n // 2 and s = k - h, Katsurada's
+# formula is
+#     a(B) = (-1)^(nk/2) 2^(nk - n(n-1)/2) det(B)^((2k-n-1)/2)
+#            prod_{i=2k-n+1..2k} pi^(i/2) / Gamma(i/2)
+#            / (zeta(k) prod_{i=1..h} zeta(2k-2i))
+#            prod_p F_p(B; p^-k)  [times L(s, chi_B) for even n],
+# halved at n >= 2k - 1.  Legendre duplication turns the Gamma product into
+# prod_{j=s+1..k} 2^(2j-2) pi^(2j-1) / (2j-2)!, times pi^s / (s-1)! for odd n.
+# The functional equations give, for m, s >= 1,
+#     zeta(2m) = (-1)^m 2^(2m-1) pi^(2m) zeta(1-2m) / (2m-1)!,
+#     L(s, chi) = (-1)^((s-d)/2) 2^(s-1) pi^s f^(1/2-s) L(1-s, chi) / (s-1)!,
+# with d = 1 for odd chi, else 0, and f the conductor; zeta(0) = -1/2 and
+# L(0, chi) (at n = 2k) are rational as they stand.  The powers of pi then
+# cancel.  For odd n, det(B) has the integer exponent s - 1; for even n, with
+# the discriminant D = (-1)^h 4^h det B, the square roots meet in
+# det(B)^(s-1/2) f^(1/2-s) = (|D|/f)^(s-1/2) / 2^(h(2s-1)), where |D|/f is a
+# square.
 
 
 @lru_cache(maxsize=None)
-def _zeta_norm(n: int, k: int) -> AnalyticScalar:
-    acc = zeta_value(k)
-    for i in range(1, n // 2 + 1):
-        acc = acc * zeta_value(2 * k - 2 * i)
-    return acc.inverse()
+def _norm(n: int, k: int) -> Fraction:
+    """The factors of the coefficient at rank n and even weight k that
+    depend on nothing else, without their powers of pi."""
+    h, s = n // 2, k - n // 2
+    out = Fraction(_sgn(n * k // 2) * 2 ** (n * k - n * (n - 1) // 2))
+    for j in range(s + 1, k + 1):
+        out *= Fraction(2 ** (2 * j - 2), math.factorial(2 * j - 2))
+    if n % 2:
+        out /= math.factorial(s - 1)
+    else:
+        out /= Fraction(2) ** (h * (2 * s - 1))
+    for t in (k, *range(2 * s, 2 * k, 2)):
+        if t:
+            out /= _sgn(t // 2) * Fraction(2 ** (t - 1), math.factorial(t - 1)) * zeta_value(1 - t)
+        else:
+            out /= zeta_value(0)
+    if n >= 2 * k - 1:
+        out /= 2
+    return out
 
 
 @lru_cache(maxsize=None)
-def _l_norm(s: int, disc: int) -> AnalyticScalar:
-    return l_value(s, DirichletCharacter.from_discriminant(disc))
+def _l_norm(s: int, disc: int) -> Fraction:
+    """L(s, chi) |disc|^(s-1/2) / pi^s for the character chi of
+    Q(sqrt(disc)), from L(1 - s, chi) when s >= 1."""
+    chi = DirichletCharacter.from_discriminant(disc)
+    f = chi.conductor
+    q = math.isqrt(abs(disc) // f)
+    if q * q * f != abs(disc):
+        raise ArithmeticError(f"|{disc}| is not a square times the conductor {f}")
+    if s == 0:
+        value = l_value(0, chi)
+        root = math.isqrt(f)
+        if value and root * root != f:
+            raise ArithmeticError(f"L(0, chi) = {value} times |{disc}|^(-1/2) is not rational")
+        return value / (q * root)
+    d = 1 if chi.is_odd else 0
+    if (s - d) % 2:
+        raise ValueError(f"L({s}, chi) with chi of discriminant {chi.disc}: parity mismatch")
+    scale = Fraction(2 ** (s - 1) * q ** (2 * s - 1), math.factorial(s - 1))
+    return _sgn((s - d) // 2) * scale * l_value(1 - s, chi)
 
 
 def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
@@ -214,32 +258,20 @@ def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
     if n > dim:
         raise ValueError(f"rank {n} exceeds dim {dim}")
     k = dim // 2
-    if n * k % 2:
-        raise ValueError(f"rank {n} and weight dim / 2 = {k} are both odd")
+    if k % 2:
+        raise ValueError(f"weight dim / 2 = {k} is odd")
     disc_b = det_b * Fraction(4) ** (n // 2)
     if disc_b.denominator != 1:
         raise ValueError(f"det {det_b} is not that of a half-integral matrix of rank {n}")
-    total = AnalyticScalar.from_rational(
-        Fraction(_sgn(n * k // 2)) * Fraction(2) ** (n * k - n * (n - 1) // 2)
-    )
-    e = 2 * k - n - 1  # det B enters with exponent e / 2
-    if n % 2:  # then e is even
-        total = total * det_b ** (e // 2)
+    if n % 2:
+        total = _norm(n, k) * det_b ** (k - n // 2 - 1)
     else:
-        total = total * AnalyticScalar.sqrt_rational(det_b**e)
-    for i in range(2 * k - n + 1, 2 * k + 1):
-        total = (total / gamma_half(i)).times_pi_half(i)
-    total = total * _zeta_norm(n, k)
+        total = _norm(n, k) * _l_norm(k - n // 2, _sgn(n // 2) * int(disc_b))
     for p in sorted({2, *factorize(int(disc_b))}):
         blocks = blocks_at(p)
         if local_invariants(blocks, p).d:
-            total = total * f_value(blocks, p, Fraction(1, p**k))
-    if n % 2 == 0:
-        total = total * _l_norm(k - n // 2, _sgn(n // 2) * int(disc_b))
-    a = total.as_fraction()
-    if n in (dim - 1, dim):
-        a /= 2
-    return a
+            total *= f_value(blocks, p, Fraction(1, p**k))
+    return total
 
 
 def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:

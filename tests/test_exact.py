@@ -11,23 +11,17 @@ import pytest
 
 import latmass
 from latmass.exact import (
-    AnalyticScalar,
     DirichletCharacter,
     bernoulli,
     det,
     factorize,
     fundamental_discriminant,
-    gamma_half,
     generalized_bernoulli,
     kronecker_symbol,
     l_value,
     squarefree_decompose,
     zeta_value,
 )
-
-
-def as_mpf(x: AnalyticScalar) -> mp.mpf:
-    return mp.mpf(x.coeff.numerator) / x.coeff.denominator * mp.sqrt(x.surd) * mp.pi ** (mp.mpf(x.pi_half) / 2)
 
 
 def test_bernoulli_numbers():
@@ -73,32 +67,12 @@ def test_squarefree_decompose():
     assert s * s * r == 2**10 * 3**3 * 7 and r == 21
 
 
-def test_analytic_scalar_algebra():
-    a = AnalyticScalar.sqrt_rational(Fraction(8, 3))  # (2/3) sqrt(6)
-    assert (a.coeff, a.surd) == (Fraction(2, 3), 6)
-    assert (a * a).as_fraction() == Fraction(8, 3)
-    b = AnalyticScalar(Fraction(5), 6, 3)
-    assert ((a * b) / b * b / a / b).as_fraction() == 1
-    with pytest.raises(ArithmeticError):
-        b.as_fraction()
-    assert AnalyticScalar(Fraction(0), 1, 0) == AnalyticScalar(Fraction(0), 1, 0)
-
-
-def test_gamma_half():
-    assert gamma_half(2).as_fraction() == 1
-    assert gamma_half(8).as_fraction() == 6
-    assert gamma_half(1) == AnalyticScalar(Fraction(1), 1, 1)  # sqrt(pi)
-    assert gamma_half(5) == AnalyticScalar(Fraction(3, 4), 1, 1)
-    mp.mp.dps = 40
-    for i in range(1, 12):
-        assert mp.almosteq(as_mpf(gamma_half(i)), mp.gamma(mp.mpf(i) / 2), rel_eps=mp.mpf(10) ** -35)
-
-
 def test_zeta_values():
-    assert zeta_value(0) == AnalyticScalar(Fraction(-1, 2))
-    assert zeta_value(2) == AnalyticScalar(Fraction(1, 6), 1, 4)  # pi^2/6
-    assert zeta_value(4) == AnalyticScalar(Fraction(1, 90), 1, 8)
-    assert zeta_value(12).coeff == Fraction(691, 638512875)
+    assert zeta_value(0) == Fraction(-1, 2)
+    assert zeta_value(-1) == Fraction(-1, 12)
+    assert zeta_value(-3) == Fraction(1, 120)
+    assert zeta_value(-11) == Fraction(691, 32760)
+    assert all(zeta_value(s) == 0 for s in (-2, -4, -6))
 
 
 KNOWN_CHARACTERS = {
@@ -150,38 +124,37 @@ def test_generalized_bernoulli():
 
 
 def test_l_values_closed_form():
-    assert l_value(0, DirichletCharacter(-3)) == AnalyticScalar(Fraction(1, 3))
-    # L(1, chi_{-4}) = pi/4
-    assert l_value(1, DirichletCharacter(-4)) == AnalyticScalar(Fraction(1, 4), 1, 2)
-    # L(2, chi_5) = 4 sqrt(5) pi^2 / 125
-    assert l_value(2, DirichletCharacter(5)) == AnalyticScalar(Fraction(4, 125), 5, 4)
-    with pytest.raises(ValueError):
-        l_value(2, DirichletCharacter(-4))
-    with pytest.raises(ValueError):
-        l_value(1, DirichletCharacter(5))
-    assert l_value(4, DirichletCharacter(1)) == zeta_value(4)
+    assert l_value(0, DirichletCharacter(-3)) == Fraction(1, 3)
+    assert l_value(0, DirichletCharacter(-4)) == Fraction(1, 2)
+    assert l_value(-1, DirichletCharacter(5)) == Fraction(-2, 5)
+    assert l_value(-3, DirichletCharacter(8)) == 11
+    # trivial zeros: chi and 1 - s of opposite parity
+    assert l_value(0, DirichletCharacter(5)) == 0
+    assert l_value(-1, DirichletCharacter(-4)) == 0
+    assert l_value(-3, DirichletCharacter(1)) == zeta_value(-3)
 
 
 def hurwitz_l(s: int, disc: int) -> mp.mpf:
     chi = DirichletCharacter(disc)
     f = chi.conductor
-    if s == 1:
-        # poles of zeta(s, a/f) cancel since sum chi(a) = 0
-        return -mp.fsum(
-            chi(a) * mp.digamma(mp.mpf(a) / f) for a in range(1, f + 1) if chi(a)
-        ) / f
     return mp.mpf(f) ** (-s) * mp.fsum(
         chi(a) * mp.zeta(s, mp.mpf(a) / f) for a in range(1, f + 1) if chi(a)
     )
 
 
+def fraction_mpf(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def test_l_values_against_mpmath():
     mp.mp.dps = 60
-    cases = [(1, -4), (3, -4), (1, -3), (2, 5), (4, 5), (2, 8), (1, -8), (3, -8), (2, 12), (6, 12)]
-    for s, disc in cases:
-        got = as_mpf(l_value(s, DirichletCharacter(disc)))
-        want = hurwitz_l(s, disc)
-        assert mp.almosteq(got, want, rel_eps=mp.mpf(10) ** -50), (s, disc)
+    tol = mp.mpf(10) ** -50
+    for s in range(0, -8, -1):
+        assert mp.almosteq(fraction_mpf(zeta_value(s)), mp.zeta(s), rel_eps=tol, abs_eps=tol), s
+        for disc in (-4, -3, 5, 8, -8, 12):
+            got = fraction_mpf(l_value(s, DirichletCharacter(disc)))
+            want = hurwitz_l(s, disc)
+            assert mp.almosteq(got, want, rel_eps=tol, abs_eps=tol), (s, disc)
 
 
 def test_bad_arguments_raise_under_optimize():
@@ -193,13 +166,10 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: bernoulli(-1),\n"
         "    lambda: factorize(0),\n"
         "    lambda: squarefree_decompose(0),\n"
-        "    lambda: AnalyticScalar(F(1), 0),\n"
-        "    lambda: AnalyticScalar.sqrt_rational(0),\n"
-        "    lambda: AnalyticScalar(F(0)).inverse(),\n"
-        "    lambda: gamma_half(0),\n"
+        "    lambda: zeta_value(1),\n"
         "    lambda: zeta_value(3),\n"
         "    lambda: fundamental_discriminant(0),\n"
-        "    lambda: l_value(-1, DirichletCharacter(-4)),\n"
+        "    lambda: l_value(1, DirichletCharacter(-4)),\n"
         "]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"

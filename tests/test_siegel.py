@@ -18,7 +18,7 @@ from latmass.padic import (
     merge_blocks,
     with_unit,
 )
-from latmass.roots import RootSystem
+from latmass.roots import RootSystem, enumerate_systems
 from latmass.siegel import (
     component_blocks,
     eisenstein_coefficient,
@@ -129,6 +129,21 @@ def test_evaluation_at_zero():
             assert f_value(blocks, p, Fraction(0)) == 1
 
 
+def test_coefficients_match_recorded():
+    # digests recorded with the coefficient assembled in Q[sqrt(d), sqrt(pi)];
+    # they reach odd n, n = dim - 1 and dim, trivial/even/odd characters and
+    # weights k = 2 mod 4
+    lines = []
+    for dim in (8, 12, 16, 20, 24, 28, 32):
+        lines += [f"{dim}\t{rs}\t{eisenstein_coefficient(rs, dim)}" for rs in enumerate_systems(8)]
+        lines += [f"{dim}\tm={m}\t{scalar_coefficient(m, dim)}" for m in range(1, 41)]
+    assert len(lines) == 987
+    assert digest(lines)[:16] == "b2087765bdef3147"
+    values = [(rs, eisenstein_coefficient(rs, 16)) for rs in enumerate_systems(16) if rs.rank >= 15]
+    assert (len(values), sum(1 for _, v in values if v)) == (1385, 474)
+    assert digest([f"16\t{rs}\t{v}" for rs, v in values])[:16] == "8f76258d6135b6f2"
+
+
 def test_step_raises_under_optimize():
     # for R = 1, (1 + X^0) R(X) = 2 leaves a remainder on division by
     # 1 - 3X, and e = -1 is out of range: both raise, also under python -O
@@ -150,8 +165,8 @@ def test_step_raises_under_optimize():
 
 def test_checks_raise_under_optimize():
     # bad arguments raise ValueError and broken invariants ArithmeticError,
-    # each from its own check, also under python -O (there E8 in dimension
-    # 6 used to fail later, in gamma_half)
+    # each from its own check, also under python -O; an odd weight would
+    # otherwise divide by zeta(1 - k) = 0
     script = (
         "from latmass import siegel\n"
         "from latmass.roots import RootSystem\n"
@@ -159,7 +174,11 @@ def test_checks_raise_under_optimize():
         "cases = [\n"
         "    (ValueError, 'dim must be even', lambda: siegel.eisenstein_coefficient(R('A1'), 7)),\n"
         "    (ValueError, 'exceeds dim', lambda: siegel.eisenstein_coefficient(R('E8'), 6)),\n"
-        "    (ValueError, 'both odd', lambda: siegel.eisenstein_coefficient(R('A1'), 2)),\n"
+        "    (ValueError, 'weight dim / 2 = 1', lambda: siegel.eisenstein_coefficient(R('A1'), 2)),\n"
+        "    (ValueError, 'weight dim / 2 = 3', lambda: siegel.eisenstein_coefficient(R('A2'), 6)),\n"
+        "    (ValueError, 'parity mismatch', lambda: siegel._l_norm(1, 5)),\n"
+        "    (ArithmeticError, 'times the conductor', lambda: siegel._l_norm(2, 3)),\n"
+        "    (ArithmeticError, 'not rational', lambda: siegel._l_norm(0, -3)),\n"
         "    (ValueError, 'half-integral', lambda: siegel.coefficient_for_gram(((1,),), 8)),\n"
         "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((2, 2), (2, 2)), 8)),\n"
         "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((-2,),), 8)),\n"
