@@ -164,10 +164,15 @@ def _solve_cached(dim: int, args) -> MassTable:
         if m:
             nonzero += 1
         if done % 2000 == 0 or done == count:
-            # the rate counts only the systems solved in this process
+            # the rate counts only the systems solved in this process; a
+            # system's back-substitution grows with the nonzero masses found
+            # so far, so the systems left cost at least this rate: a lower bound
             rate = (done - first) / (time.perf_counter() - start)
             eta = datetime.timedelta(seconds=round((count - done) / rate))
-            _note(f"dim {dim}: solved {done}/{count} root systems, {nonzero} nonzero, ETA {eta}")
+            _note(
+                f"dim {dim}: solved {done}/{count} root systems, {nonzero} nonzero, "
+                f"ETA at least {eta}"
+            )
 
     kwargs = dict(workers=getattr(args, "threads", None), checkpoint=path, progress=progress)
     try:

@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import compress
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Block = tuple[str, int, int]  # (kind 'u'|'h'|'y', scale, unit residue; 0 for h/y)
@@ -77,19 +79,15 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: int | None) -> int:
     return _hilbert(*_split(a, p), *_split(b, p), p)
 
 
-def hasse_invariant(diag, p: int | None) -> int:
-    """Hasse invariant prod_{i<j} (a_i, a_j)_p of a diagonalized form.
+def _hasse(counts, p: int) -> int:
+    """prod_{i<j} (a_i, a_j)_p over a diagonal given as a Counter of the
+    entries' integer pairs (v, w) from _split.
 
-    Grouped by distinct entries: with k_a copies of a, the product is
-    prod_a (a, a)^C(k_a, 2) * prod_{a<b} (a, b)^(k_a k_b), so only entries
-    and pairs with an odd exponent are evaluated, each once, on the
-    integer pairs of _split.  At the real place (a, b) = -1 only for two
-    negatives, so the invariant is -1 exactly when C(#negatives, 2) is odd.
+    With k_a copies of a, the product is prod_a (a, a)^C(k_a, 2) *
+    prod_{a<b} (a, b)^(k_a k_b), so only entries and pairs with an odd
+    exponent are evaluated, each once.
     """
-    if p is None:
-        neg = sum(1 for a in diag if a < 0)
-        return -1 if neg * (neg - 1) // 2 % 2 else 1
-    groups = [(_split(a, p), k) for a, k in Counter(diag).items()]
+    groups = list(counts.items())
     h = 1
     for t, (x, k) in enumerate(groups):
         if k * (k - 1) // 2 % 2:
@@ -101,10 +99,18 @@ def hasse_invariant(diag, p: int | None) -> int:
     return h
 
 
-def chi_p(x: Fraction | int, p: int) -> int:
-    """1, -1, 0 as x is a square unit times p^even, the nonsquare unit class
-    of the unramified extension, or neither."""
-    v, w = _split(x, p)
+def hasse_invariant(diag, p: int | None) -> int:
+    """Hasse invariant prod_{i<j} (a_i, a_j)_p of a diagonalized form.  At
+    the real place (a, b) = -1 only for two negatives, so the invariant is
+    -1 exactly when C(#negatives, 2) is odd."""
+    if p is None:
+        neg = sum(1 for a in diag if a < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    return _hasse(Counter(_split(a, p) for a in diag), p)
+
+
+def _chi(v: int, w: int, p: int) -> int:
+    """chi_p of p^v * w for an integer unit w (as from _split)."""
     if v % 2:
         return 0
     if p == 2:
@@ -112,74 +118,14 @@ def chi_p(x: Fraction | int, p: int) -> int:
     return _legendre(w, p)
 
 
+def chi_p(x: Fraction | int, p: int) -> int:
+    """1, -1, 0 as x is a square unit times p^even, the nonsquare unit class
+    of the unramified extension, or neither."""
+    return _chi(*_split(x, p), p)
+
+
 # ---------------------------------------------------------------------------
 # Jordan decomposition
-
-
-def _check_half_integral(b: list[list[Fraction]], p: int) -> None:
-    n = len(b)
-    for i in range(n):
-        if b[i][i] and valuation(b[i][i], p) < 0:
-            raise ValueError(f"diagonal entry {b[i][i]} is not {p}-integral")
-        for j in range(i + 1, n):
-            if b[i][j] != b[j][i]:
-                raise ValueError("the matrix is not symmetric")
-            if b[i][j] and valuation(b[i][j], p) < (-1 if p == 2 else 0):
-                raise ValueError(f"off-diagonal entry {b[i][j]} is not {p}-half-integral")
-
-
-def _min_valuations(b, active, p):
-    """Weighted valuations: nu(i,i) = v(b_ii), nu(i,j) = v(b_ij) + [p == 2]."""
-    off_w = 1 if p == 2 else 0
-    best, best_diag, best_off = None, None, None
-    for ai, i in enumerate(active):
-        if b[i][i]:
-            v = valuation(b[i][i], p)
-            if best is None or v < best:
-                best, best_diag, best_off = v, i, None
-            elif v == best and best_diag is None:
-                best_diag = i
-        for j in active[ai + 1:]:
-            if b[i][j]:
-                v = valuation(b[i][j], p) + off_w
-                if best is None or v < best:
-                    best, best_diag, best_off = v, None, (i, j)
-                elif v == best and best_off is None:
-                    best_off = (i, j)
-    if best is None:
-        raise ValueError("the matrix is degenerate")
-    return best, best_diag, best_off
-
-
-def _eliminate_rank1(b, active, i):
-    """Split off the pivot b_ii.  Only rows and columns where the pivot row
-    is nonzero change; everywhere else the update would subtract 0."""
-    pivot = b[i][i]
-    rest = [k for k in active if k != i]
-    hit = [k for k in rest if b[i][k]]
-    for k in hit:
-        c = b[i][k] / pivot
-        for l in hit:
-            b[k][l] -= c * b[i][l]
-    return rest
-
-
-def _eliminate_rank2(b, active, i, j):
-    """Split off the 2x2 pivot on rows i, j; as in _eliminate_rank1, only
-    rows and columns where a pivot row is nonzero change."""
-    det = b[i][i] * b[j][j] - b[i][j] ** 2
-    rest = [k for k in active if k not in (i, j)]
-    hit = [k for k in rest if b[i][k] or b[j][k]]
-    coef = {}
-    for k in hit:
-        c1 = (b[j][j] * b[i][k] - b[i][j] * b[j][k]) / det
-        c2 = (b[i][i] * b[j][k] - b[i][j] * b[i][k]) / det
-        coef[k] = (c1, c2)
-    for k in hit:
-        for l in hit:
-            c1, c2 = coef[l]
-            b[k][l] -= b[i][k] * c1 + b[j][k] * c2
-    return rest
 
 
 def _merge_units_odd(blocks: list[Block], p: int) -> list[Block]:
@@ -260,41 +206,100 @@ def merge_blocks(parts, p: int) -> tuple[Block, ...]:
 
 
 def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
-    """Jordan block list of a nondegenerate half-integral matrix over Z_p."""
+    """Jordan block list of a nondegenerate half-integral matrix over Z_p.
+
+    Elimination over nonzero entries only: rows[i] maps j to b_ij != 0 (at
+    (i, j) and (j, i)), and nu[i][j] caches the weighted valuation v(b_ij)
+    + [p == 2 and i != j], set with the entry and pushed onto a heap in
+    pivot order: least nu, then the first diagonal entry in index order,
+    else the first off-diagonal pair, except that at p = 2 the pair wins
+    whenever it reaches the minimum.  2-adic splittings are not unique, so
+    the order is part of the output.  Heap items of changed entries are
+    skipped."""
     n = len(mat)
-    b = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    _check_half_integral(b, p)
-    active = list(range(n))
+    two = p == 2
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    nu: list[dict[int, int]] = [{} for _ in range(n)]
+    heap: list[tuple[int, bool, int, int]] = []
+
+    def put(i, j, x):
+        if x:
+            rows[i][j] = rows[j][i] = x
+            v = nu[i][j] = nu[j][i] = _split(x, p)[0] + (two and i != j)
+            heappush(heap, (v, (i == j) == two, min(i, j), max(i, j)))
+        else:
+            del rows[i][j], nu[i][j]
+            rows[j].pop(i, None), nu[j].pop(i, None)
+
+    for i, row in enumerate(mat):
+        # each nonzero entry against its mirror: that covers zero entries too
+        for j in compress(range(n), row):
+            x = row[j]
+            if x != mat[j][i]:
+                raise ValueError("the matrix is not symmetric")
+            if j >= i:
+                put(i, j, x if isinstance(x, Fraction) else Fraction(x))
+                if nu[i][j] < 0:
+                    raise ValueError(f"entry {x} at ({i}, {j}) is not {p}-half-integral")
+
+    def eliminate(piv, coef):
+        """Schur complement of the pivot rows piv; coef[l] lists the entries
+        of M^-1 b_(piv, l), M the pivot block, for each l they touch."""
+        cols = [rows[q] for q in piv]
+        for q, col in zip(piv, cols):
+            for k in col:
+                if k not in piv:
+                    del rows[k][q], nu[k][q]
+            rows[q], nu[q] = {}, {}
+        hit = sorted(coef)
+        for a, k in enumerate(hit):
+            bk = [col.get(k) for col in cols]
+            rk = rows[k]
+            for l in hit[a:]:
+                t = 0
+                for x, y in zip(bk, coef[l]):
+                    if x and y:
+                        t += x * y
+                if t:
+                    put(k, l, rk.get(l, 0) - t)
+
     raw: list[Block] = []
-    while active:
-        vmin, diag, off = _min_valuations(b, active, p)
-        if p == 2 and off is not None:
+    while heap:
+        e, _, i, j = heappop(heap)
+        if nu[i].get(j) != e:
+            continue
+        ri, rj = rows[i], rows[j]
+        if two and i != j:
             # an even 2x2 block; scale from the weighted minimum
-            i, j = off
-            e = vmin
-            v, w = _split(b[i][i] * b[j][j] - b[i][j] ** 2, 2)
+            bii, bjj, bij = ri.get(i, 0), rj.get(j, 0), ri[j]
+            det = bii * bjj - bij * bij
+            v, w = _split(det, 2)
             if v != 2 * e - 2:
                 raise ArithmeticError(f"2x2 block of scale {e} has determinant valuation {v}")
-            r = w % 8
-            if r not in (3, 7):
-                raise ArithmeticError(f"2x2 block of scale {e} has determinant class {r} mod 8")
-            raw.append(("h" if r == 7 else "y", e, 0))
-            active = _eliminate_rank2(b, active, i, j)
+            if w % 8 not in (3, 7):
+                raise ArithmeticError(f"2x2 block of scale {e} has determinant class {w % 8} mod 8")
+            raw.append(("h" if w % 8 == 7 else "y", e, 0))
+            coef = {}
+            for l in (ri.keys() | rj.keys()) - {i, j}:
+                bil, bjl = ri.get(l, 0), rj.get(l, 0)
+                coef[l] = ((bjj * bil - bij * bjl) / det, (bii * bjl - bij * bil) / det)
+            eliminate((i, j), coef)
             continue
-        if diag is None:
-            # odd p: make a diagonal entry of minimal valuation (no
-            # cancellation: the off-diagonal term is the unique minimum)
-            i, j = off
-            for k in range(n):
-                b[i][k] += b[j][k]
-            for k in range(n):
-                b[k][i] += b[k][j]
-            diag = i
+        if i != j:
+            # odd p: add row and column j to i, making a diagonal entry of
+            # minimal valuation (no cancellation: b_ij is the unique minimum)
+            new = {k: ri.get(k, 0) + rj.get(k, 0) for k in ri.keys() | rj.keys()}
+            new[i] += new[j]
+            for k, x in new.items():
+                put(i, k, x)
         # the unit's residue num * den: exact mod 8 at p = 2, and with the
         # unit's Legendre symbol at odd p, which is all merging reads
-        e, w = _split(b[diag][diag], p)
-        raw.append(("u", e, w % (8 if p == 2 else p)))
-        active = _eliminate_rank1(b, active, diag)
+        piv = ri[i]
+        e, w = _split(piv, p)
+        raw.append(("u", e, w % (8 if two else p)))
+        eliminate((i,), {l: (x / piv,) for l, x in ri.items() if l != i})
+    if len(raw) + sum(kind != "u" for kind, _, _ in raw) < n:
+        raise ValueError("the matrix is degenerate")
     return merge_blocks([raw], p)
 
 
@@ -338,58 +343,50 @@ class LocalInvariants:
     eta: int        # only meaningful for odd n (1 otherwise)
 
 
-def _diag_over_qp(blocks, p: int) -> list[Fraction]:
-    """A Q_p-diagonalization: H = <1, -1>, Y = <1, 3> at their scale."""
-    diag = []
+def _diag_pairs(blocks):
+    """(scale, unit) pairs of a Q_p-diagonalization: H = <1, -1> and
+    Y = <1, 3> at their scale."""
     for kind, e, u in blocks:
-        s = Fraction(p) ** e
         if kind == "u":
-            diag.append(s * u)
-        elif kind == "h":
-            diag.extend((s, -s))
+            yield e, u
         else:
-            diag.extend((s, 3 * s))
-    return diag
+            yield e, 1
+            yield e, -1 if kind == "h" else 3
+
+
+def _diag_over_qp(blocks, p: int) -> list[Fraction]:
+    """The same diagonalization as rationals."""
+    return [Fraction(p) ** e * u for e, u in _diag_pairs(blocks)]
 
 
 @lru_cache(maxsize=None)
 def local_invariants(blocks: tuple[Block, ...], p: int) -> LocalInvariants:
-    n = sum(1 if k == "u" else 2 for k, _, _ in blocks)
-    det = Fraction(1)
-    dv = 0
+    # det(B) = p^v * unit, with the unit an integer prime to p
+    n = v = 0
+    unit = 1
     iv: int | None = None
     for kind, e, u in blocks:
         if kind == "u":
-            det *= Fraction(p) ** e * u
-            dv += e
-            cand = e
+            n, v, unit, cand = n + 1, v + e, unit * u, e
         else:
-            det *= (-1 if kind == "h" else 3) * Fraction(2) ** (2 * e - 2)
-            dv += 2 * e - 2
-            cand = e - 2
+            n, v, cand = n + 2, v + 2 * e - 2, e - 2
+            unit *= -1 if kind == "h" else 3
         iv = cand if iv is None else max(iv, cand)
-    if p == 2:
-        dv += 2 * (n // 2)
-    d = dv
+    d = v + 2 * (n // 2) if p == 2 else v
     if d < 0:
         raise ValueError(f"blocks {blocks} at p = {p} are not those of a half-integral matrix")
-    if n % 2:
-        delta = d
-    else:
-        delta = 2 * ((d + 1 - (1 if p == 2 else 0)) // 2)
-    if n == 0:
-        return LocalInvariants(0, Fraction(1), 0, None, 0, 1, 1, 1)
+    delta = d if n % 2 else 2 * ((d + (p != 2)) // 2)
+    xi = eta = 1
     if n % 2 == 0:
-        xi = chi_p(Fraction((-1) ** (n // 2)) * det, p)
-        eta = 1
+        xi = _chi(v, (-1) ** (n // 2) * unit, p)
     else:
-        xi = 1
         # prod_{i<=j} (a_i, a_j)_p (diagonal terms included) times
         # (det, (-1)^((n-1)/2) det)_p, folded by bilinearity
-        eta = hasse_invariant(_diag_over_qp(blocks, p), p)
-        eta *= hilbert_symbol(det, Fraction((-1) ** ((n + 1) // 2)) * det, p)
-        eta *= hilbert_symbol(-1, -1, p) ** ((n * n - 1) // 8 % 2)
+        eta = _hasse(Counter(_diag_pairs(blocks)), p)
+        eta *= _hilbert(v, unit, v, (-1) ** ((n + 1) // 2) * unit, p)
+        eta *= _hilbert(0, -1, 0, -1, p) ** ((n * n - 1) // 8 % 2)
     xi_prime = 1 + xi - xi * xi
+    det = Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
     return LocalInvariants(n, det, d, iv, delta, xi, xi_prime, eta)
 
 

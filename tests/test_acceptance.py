@@ -15,8 +15,9 @@ import pytest
 from latmass.embeddings import rep_count
 from latmass.padic import block_matrix, hilbert_symbol, jordan_decompose
 from latmass.reduction import class_lower_bound, even_class_bound, reduce_masses
-from latmass.roots import EMPTY, RootSystem, enumerate_systems
+from latmass.roots import EMPTY, RootSystem, enumerate_systems, system_gram
 from latmass.siegel import (
+    coefficient_for_gram,
     eisenstein_coefficient,
     f_polynomial,
     f_value,
@@ -201,11 +202,15 @@ def test_criterion_6_property_suites(capsys):
                 rng.shuffle(t_parts)
                 assert rep_count(R(" ".join(s_parts)), R(" ".join(t_parts))) == want
 
-    def purity_on_corpus():
+    def coefficients_on_corpus():
+        # every dim-16 solve-list coefficient against a recorded digest, and
+        # a seeded sample against the full-Gram Jordan path
         systems = enumerate_systems(16, dim=16)
-        for rs in systems:
-            value = eisenstein_coefficient(rs, 16)
-            assert value.denominator >= 1
+        values = {rs: eisenstein_coefficient(rs, 16) for rs in systems}
+        want = "266de6f4c6d4786478a3ecc38b2d554538aa4003c234df5022c8ec8a32464a1b"
+        assert siegel_digest([f"{rs} {value}" for rs, value in values.items()]) == want
+        for rs in random.Random(16).sample(systems, 50):
+            assert values[rs] == coefficient_for_gram(system_gram(rs), 16), rs
         return len(systems)
 
     def check():
@@ -216,10 +221,10 @@ def test_criterion_6_property_suites(capsys):
         hilbert_properties()
         pairs = embeddings_brute_force()
         shuffle_invariance()
-        corpus = purity_on_corpus()
+        corpus = coefficients_on_corpus()
         return (
             f"local-series, Jordan, Hilbert, embedding ({pairs} pairs) and "
-            f"purity ({corpus} systems) properties hold"
+            f"recorded and full-Gram coefficient ({corpus} systems) properties hold"
         )
 
     report(capsys, "criterion 6 (property suites)", check)

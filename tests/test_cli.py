@@ -84,9 +84,9 @@ def test_mass_progress_notes(capsys):
     code, _, err = run(capsys, "mass", "--dim", "16")
     assert code == 0
     notes = err.strip().splitlines()
-    note = r"dim 16: solved 2000/2013 root systems, \d+ nonzero, ETA \d+:\d\d:\d\d"
+    note = r"dim 16: solved 2000/2013 root systems, \d+ nonzero, ETA at least \d+:\d\d:\d\d"
     assert re.fullmatch(note, notes[0])
-    assert notes[-1].startswith("dim 16: solved 2013/2013 root systems, 2 nonzero, ETA ")
+    assert notes[-1].startswith("dim 16: solved 2013/2013 root systems, 2 nonzero, ETA at least ")
 
 
 def test_threads_out_of_range_exit_2(capsys, tmp_path):

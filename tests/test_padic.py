@@ -7,7 +7,9 @@ from pathlib import Path
 
 import latmass
 
+from latmass.exact import det
 from latmass.padic import (
+    _diag_over_qp,
     block_matrix,
     chi_p,
     hasse_invariant,
@@ -19,7 +21,8 @@ from latmass.padic import (
     with_unit,
 )
 from latmass.roots import RootSystem, system_gram
-from latmass.siegel import coefficient_for_gram, eisenstein_coefficient
+from latmass.siegel import coefficient_for_gram, component_blocks, eisenstein_coefficient
+from test_siegel import digest
 
 F = Fraction
 PRIMES = (2, 3, 5, 7)
@@ -159,6 +162,13 @@ def test_checks_raise_under_optimize():
         "cases = [\n"
         "    (ValueError, lambda: padic.hilbert_symbol(0, 1, None)),\n"
         "    (ValueError, lambda: padic.jordan_decompose(((F(0), F(0)), (F(0), F(0))), 3)),\n"
+        "    # rank-deficient but nonzero: rows run out before all are eliminated\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((2, 2), (2, 2)), 3)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((1, 1), (1, 1)), 2)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((1, 0), (0, 0)), 5)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(\n"
+        "        ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 1)), 2)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((0, 1, 3), (1, 0, 3), (3, 3, 18)), 3)),\n"
         "    (ValueError, lambda: padic.merge_blocks([[('h', 1, 0)]], 3)),\n"
         "    (ValueError, lambda: padic.local_invariants((('u', -1, 1),), 3)),\n"
         "    (ArithmeticError, lambda: padic.merge_blocks([[('u', 0, 2)] * 3], 2)),\n"
@@ -236,8 +246,6 @@ def _congruent(mat, u):
 
 def _signature(blocks, p):
     inv = local_invariants(blocks, p)
-    from latmass.padic import _diag_over_qp
-
     return (
         inv.n,
         inv.d,
@@ -247,10 +255,10 @@ def _signature(blocks, p):
     )
 
 
-def _random_blocks(rng, p):
+def _random_blocks(rng, p, most=4, top=2):
     blocks = []
-    for _ in range(rng.randrange(1, 5)):
-        e = rng.randrange(0, 3)
+    for _ in range(rng.randint(1, most)):
+        e = rng.randint(0, top)
         if p == 2 and rng.random() < 0.4:
             blocks.append((rng.choice(("h", "y")), e, 0))
         else:
@@ -305,3 +313,42 @@ def test_sparse_elimination_matches_dense_gram():
         rs = RootSystem.parse(name)
         dense = _congruent(system_gram(rs), _random_unimodular(rng, rs.rank))
         assert eisenstein_coefficient(rs, 32) == coefficient_for_gram(dense, 32), name
+
+
+def test_component_blocks_match_recorded():
+    # every irreducible component up to rank 32 at the primes below 32;
+    # 2-adic splittings are not unique, so this pins the elimination order
+    kinds = [("A", r) for r in range(1, 33)] + [("D", r) for r in range(4, 33)]
+    kinds += [("E", r) for r in (6, 7, 8)]
+    lines = [
+        f"{kind}{rank} {p} {component_blocks(kind, rank, p)}"
+        for kind, rank in kinds
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    ]
+    assert len(lines) == 704
+    assert digest(lines) == "7a3d85e3d417901f86b62a405a667ea3843b9807d2a192e6c13be8d278e28a53"
+
+
+def _invariant_corpus():
+    # up to 8 blocks of scale 0..5, as in test_siegel's polynomial digest
+    rng = random.Random(12)
+    return [(p, _random_blocks(rng, p, 8, 5)) for p in PRIMES for _ in range(550)]
+
+
+def test_local_invariants_match_recorded():
+    lines = [f"{p} {blocks} {local_invariants(blocks, p)}" for p, blocks in _invariant_corpus()]
+    assert digest(lines) == "64c148a13d58c4e48a3f2ff6278cabf08210c21596be528fc13e5639c74d8f9a"
+
+
+def test_invariants_match_rational_definitions():
+    for p, blocks in _invariant_corpus():
+        inv = local_invariants(blocks, p)
+        n = inv.n
+        assert inv.det == det(block_matrix(blocks, p)), (blocks, p)
+        if n % 2:
+            eta = hasse_invariant(_diag_over_qp(blocks, p), p)
+            eta *= hilbert_symbol(inv.det, (-1) ** ((n + 1) // 2) * inv.det, p)
+            eta *= hilbert_symbol(-1, -1, p) ** ((n * n - 1) // 8 % 2)
+            assert (inv.xi, inv.eta) == (1, eta), (blocks, p)
+        else:
+            assert (inv.xi, inv.eta) == (chi_p((-1) ** (n // 2) * inv.det, p), 1), (blocks, p)
