@@ -137,6 +137,12 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
+def _check_odd_dim(dim: int | None, base: int, low: int) -> None:
+    """--dim, if given, names an odd-lattice table below the even base."""
+    if dim is not None and not low <= dim <= base - 2:
+        raise UsageError(f"--dim must lie in {low}..{base - 2} for base {base}")
+
+
 # ---------------------------------------------------------------------------
 # Cached solving
 
@@ -284,7 +290,10 @@ def _load_table(args) -> MassTable:
 
 
 def cmd_reduce(args) -> None:
+    if args.base is not None and not args.from_table:
+        _check_odd_dim(args.dim, _check_dim(args.base), 0)  # before the base solve
     table = _load_table(args)
+    _check_odd_dim(args.dim, table.dim, 0)
     reduced = reduce_masses(table)
     dims = reduced.dimensions() if args.dim is None else [args.dim]
     columns = ("dimension", "root_system", "mass", "decimal")
@@ -301,9 +310,7 @@ def cmd_bounds(args) -> None:
         args.base = args.dim
     if args.base is not None and args.dim is not None and args.dim != args.base:
         # reject out-of-range dims before paying for the base solve
-        _check_dim(args.base)
-        if not 1 <= args.dim <= args.base - 2:
-            raise UsageError(f"--dim must lie in 1..{args.base - 2} for base {args.base}")
+        _check_odd_dim(args.dim, _check_dim(args.base), 1)
     table = _load_table(args)
     base = table.dim
     dim = args.dim if args.dim is not None else base
@@ -312,8 +319,7 @@ def cmd_bounds(args) -> None:
         bound = even_class_bound(table)
         rows = [(dim, base, "even", bound.bound, bound.root_system_count)]
     else:
-        if not 1 <= dim <= base - 2:
-            raise UsageError(f"--dim must lie in 1..{base - 2} for base {base}")
+        _check_odd_dim(dim, base, 1)
         reduced = reduce_masses(table)
         even_tables = {dim: _solve_cached(dim, args)} if dim % 8 == 0 else {}
         bound = class_lower_bound(reduced, dim, even_tables)

@@ -12,8 +12,11 @@ the `components` of a RootSystem, and carries the rank and root count of
 source and target as integers, so a branch whose source no longer fits is
 cut before its target is built.  Each new target is the old one with one
 component swapped for its complement (`_swap`), merged in canonical order.
-Results are memoised in `_MEMO` under the key (source components, target
-components) until it holds `_MEMO_CAP` entries, when it is cleared.
+Sub-problems are memoised in `_MEMO` under the key (source components,
+target components) until it holds `_MEMO_CAP` entries, when it is cleared.
+The pair rep_count is asked for is not: callers ask for each pair once, in
+descending solve order, and every later sub-problem's source ranks below a
+system no earlier in that order, so the entry could never be hit.
 """
 
 from __future__ import annotations
@@ -167,10 +170,6 @@ def _count(
 ) -> int:
     """rep_count on nonempty canonical component tuples, whose ranks and root
     counts are given and fit: the source's are at most the target's."""
-    key = (source, target)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     sk, sr, sm = source[-1]
     sub = source[:-1] + ((sk, sr, sm - 1),) if sm > 1 else source[:-1]
     sub_rank = s_rank - sr
@@ -181,11 +180,12 @@ def _count(
             if not sub:
                 total += tm * weight
             elif sub_rank <= t_rank + d_rank and sub_roots <= t_roots + d_roots:
-                rest = _swap(target, i, complement)
-                total += tm * weight * _count(
-                    sub, rest, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots
-                )
-    if len(_MEMO) >= _MEMO_CAP:
-        _MEMO.clear()
-    _MEMO[key] = total
+                key = (sub, _swap(target, i, complement))
+                n = _MEMO.get(key)
+                if n is None:
+                    n = _count(*key, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots)
+                    if len(_MEMO) >= _MEMO_CAP:
+                        _MEMO.clear()
+                    _MEMO[key] = n
+                total += tm * weight * n
     return total

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 _KIND_ORDER = {"Z": -1, "A": 0, "D": 1, "E": 2}
 _TOKEN = re.compile(r"^([ADE])(-?\d+)(?:\^(\d+))?$|^(Z)(?:\^(\d+))?$")
@@ -58,6 +58,8 @@ def _component_weyl(kind: str, rank: int) -> int:
 
 def _component_aut(kind: str, rank: int) -> int:
     """Automorphisms of one component: Weyl group times graph symmetries."""
+    if kind == "Z":
+        return 2  # the sign
     if kind == "A":
         return 2 * math.factorial(rank + 1) if rank >= 2 else 2
     if kind == "D":
@@ -65,18 +67,32 @@ def _component_aut(kind: str, rank: int) -> int:
     return {6: 103680, 7: 2903040, 8: 696729600}[rank]
 
 
-@dataclass(frozen=True)
+def _token(kind: str, rank: int, mult: int) -> str:
+    """One component's part of a name: Z or kind and rank, mult as exponent."""
+    base = "Z" if kind == "Z" else f"{kind}{rank}"
+    return base if mult == 1 else f"{base}^{mult}"
+
+
+@dataclass(frozen=True, slots=True)
 class RootSystem:
-    """Canonically sorted multiset of components: ((kind, rank, mult), ...)."""
+    """Canonically sorted multiset of components: ((kind, rank, mult), ...),
+    the only field compared and hashed.  The name (components in kind order
+    Z, A, D, E, each by rank, multiplicities as exponents; "0" if empty),
+    rank, determinant and root count are fields that `from_parts` derives
+    and `enumerate_systems` passes in."""
 
     components: tuple[tuple[str, int, int], ...]
+    name: str = field(compare=False, repr=False)
+    rank: int = field(compare=False, repr=False)
+    det: int = field(compare=False, repr=False)
+    root_count: int = field(compare=False, repr=False)
 
     @classmethod
     def from_parts(cls, parts) -> "RootSystem":
         """The system of the given (kind, rank[, mult]) parts, multiplicity 1
         by default.  Multiplicities are signed, so a system with some
         components swapped out is one call: the net count of each component
-        must not be negative."""
+        must not be negative.  Canonical components pass through unchanged."""
         counts: dict[tuple[str, int], int] = {}
         for item in parts:
             kind, rank = item[0], item[1]
@@ -91,13 +107,20 @@ class RootSystem:
             for (k, r), m in sorted(counts.items(), key=lambda t: (t[0][1], _KIND_ORDER[t[0][0]]))
             if m
         )
-        return cls(comps)
+        shown = sorted(comps, key=lambda t: (_KIND_ORDER[t[0]], t[1]))
+        return cls(
+            comps,
+            " ".join(_token(k, r, m) for k, r, m in shown) or "0",
+            sum(r * m for _, r, m in comps),
+            math.prod(_component_determinant(k, r) ** m for k, r, m in comps),
+            sum(_component_roots(k, r) * m for k, r, m in comps),
+        )
 
     @classmethod
     def parse(cls, text: str) -> "RootSystem":
         text = text.strip()
         if text in ("", "0"):
-            return cls(())
+            return cls.from_parts(())
         parts = []
         for token in text.split():
             m = _TOKEN.match(token)
@@ -116,32 +139,7 @@ class RootSystem:
     def __str__(self) -> str:
         return self.name
 
-    @cached_property
-    def name(self) -> str:
-        """Components in kind order (Z, A, D, E), each by rank, with
-        multiplicities as exponents; "0" for the empty system."""
-        if not self.components:
-            return "0"
-        bits = []
-        shown = sorted(self.components, key=lambda t: (_KIND_ORDER[t[0]], t[1]))
-        for kind, rank, mult in shown:
-            base = "Z" if kind == "Z" else f"{kind}{rank}"
-            bits.append(base if mult == 1 else f"{base}^{mult}")
-        return " ".join(bits)
-
-    @cached_property
-    def rank(self) -> int:
-        return sum(r * m for _, r, m in self.components)
-
-    @cached_property
-    def det(self) -> int:
-        return math.prod(_component_determinant(k, r) ** m for k, r, m in self.components)
-
-    @cached_property
-    def root_count(self) -> int:
-        return sum(_component_roots(k, r) * m for k, r, m in self.components)
-
-    @cached_property
+    @property
     def weyl_order(self) -> int:
         w = 1
         for k, r, m in self.components:
@@ -151,22 +149,18 @@ class RootSystem:
                 w *= _component_weyl(k, r) ** m
         return w
 
-    @cached_property
+    @property
     def aut_order(self) -> int:
-        a = 1
-        for k, r, m in self.components:
-            if k == "Z":
-                a *= 2**m * math.factorial(m)
-            else:
-                a *= _component_aut(k, r) ** m * math.factorial(m)
-        return a
+        return math.prod(
+            _component_aut(k, r) ** m * math.factorial(m) for k, r, m in self.components
+        )
 
     @property
     def sort_key(self):
         return (self.rank, -self.det, self.name)
 
 
-EMPTY = RootSystem(())
+EMPTY = RootSystem.from_parts(())
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +260,8 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     carries rank, determinant, root count, the lcm of the moduli and one
     stack of name tokens per kind, tests each candidate's filters before
     pushing it, and recurses only while a further component fits.  A
-    RootSystem is built only for the systems kept, with those invariants
-    and the name cached."""
+    RootSystem is built only for the systems kept, and it is handed those
+    invariants and the name as its fields."""
     if max_rank < 0:
         raise ValueError(f"max_rank must be at least 0, got {max_rank}")
     # budget left when a system reaches rank dim; -1 (never) without that filter
@@ -288,9 +282,8 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     types = []
     for (kind, r), next_r in zip(comps, next_ranks):
         det, roots = _component_determinant(kind, r), _component_roots(kind, r)
-        base = f"{kind}{r}"
         steps = [
-            (r * m, det**m, roots * m, base if m == 1 else f"{base}^{m}", (kind, r, m))
+            (r * m, det**m, roots * m, _token(kind, r, m), (kind, r, m))
             for m in range(1, max_rank // r + 1)
         ]
         types.append((r, _borcherds_mod(kind, r), next_r, names[kind], steps))
@@ -333,9 +326,8 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     out = []
     for rank, bucket in enumerate(buckets):
         bucket.sort()  # on (-det, name): names are unique
-        for neg_det, name, roots, components in bucket:
-            rs = RootSystem(components)
-            # cached properties read the instance dict first: seed them
-            rs.__dict__.update(name=name, rank=rank, det=-neg_det, root_count=roots)
-            out.append(rs)
+        out += [
+            RootSystem(components, name, rank, -neg_det, roots)
+            for neg_det, name, roots, components in bucket
+        ]
     return out

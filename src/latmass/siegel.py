@@ -169,7 +169,7 @@ def f_value(blocks, p: int, x) -> Fraction:
 @lru_cache(maxsize=None)
 def component_blocks(kind: str, rank: int, p: int):
     g = component_gram(kind, rank)
-    half = tuple(tuple(Fraction(v, 2) for v in row) for row in g)
+    half = tuple(tuple(Fraction(v, 2) if v else 0 for v in row) for row in g)
     return jordan_decompose(half, p)
 
 

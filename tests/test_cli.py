@@ -3,14 +3,11 @@
 import json
 import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import latmass
+from conftest import run_python
 from latmass.cli import main
 from latmass.solver import genus_mass, solve_masses
 from test_solver import Interrupted, stop_after
@@ -138,6 +135,7 @@ def test_reduce_and_bounds_from_saved_table(capsys, tmp_path, table24):
     assert data["rows"] == [
         {"dimension": 0, "root_system": "0", "mass": "1", "decimal": "1"}
     ]
+    assert run(capsys, "reduce", "--from-table", str(path), "--dim", "23")[0] == 2
 
     data = run_json(capsys, "bounds", "--from-table", str(path), "--dim", "22")
     assert data["rows"] == [
@@ -240,13 +238,7 @@ def test_tampered_cache_resolved_under_optimize(capsys, tmp_path):
     data["masses"]["D16"] = "1/3"
     path.write_text(json.dumps(data))
     # the checks are raises, not asserts, so they run under python -O
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "latmass.cli", "mass", "--dim", "16", "--cache", str(cache)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_python("-O", "-m", "latmass.cli", "mass", "--dim", "16", "--cache", str(cache))
     assert result.returncode == 0, result.stderr
     assert "discarding stale checkpoint" in result.stderr
     assert "do not sum to the genus mass" in result.stderr
@@ -294,10 +286,7 @@ def test_verify_fails_under_optimize():
         "cli.scalar_coefficient = lambda m, k: 0\n"
         "sys.exit(cli.main(['verify', '--format', 'csv']))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 3, result.stderr
     assert "fail: scalar_coefficients_dim8" in result.stderr
     assert result.stderr.count("pass:") == 4
@@ -320,16 +309,10 @@ def test_config_errors_exit_2(capsys):
     assert run(capsys, "siegel", "--p", "2", "--gram", "(0)")[0] == 2
     assert run(capsys, "bounds", "--dim", "23", "--base", "24")[0] == 2
     assert run(capsys, "reduce", "--dim", "5")[0] == 2
+    assert run(capsys, "reduce", "--base", "8", "--dim", "40")[0] == 2
 
 
 def test_console_script_help():
-    # the child finds the package where this process did, installed or not
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "latmass.cli", "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_python("-m", "latmass.cli", "--help")
     assert result.returncode == 0
     assert "mass" in result.stdout and "bounds" in result.stdout

@@ -131,3 +131,18 @@ def test_memo_cap_clears(monkeypatch):
     monkeypatch.setattr(embeddings, "_MEMO_CAP", 16)
     assert [rep_count(s, t) for s, t in pairs] == want
     assert 0 < len(embeddings._MEMO) <= 16
+
+
+def test_memo_holds_only_sub_problems(monkeypatch):
+    # the pair asked for is never asked again, so only the pairs the
+    # recursion peels down to are stored: A2 from E8 leaves E6, then A1 A5
+    monkeypatch.setattr(embeddings, "_MEMO", {})
+    source, target = parse("A1^2 A2"), parse("E8")
+    assert rep_count(source, target) > 0
+    assert (source.components, target.components) not in embeddings._MEMO
+
+    def key(s, t):
+        return parse(s).components, parse(t).components
+
+    assert set(embeddings._MEMO) == {key("A1^2", "E6"), key("A1", "A5")}
+    assert embeddings._MEMO[key("A1^2", "E6")] == rep_count(parse("A1^2"), parse("E6"))

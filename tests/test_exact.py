@@ -1,15 +1,11 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-import latmass
+from conftest import run_python
 from latmass.exact import (
     DirichletCharacter,
     bernoulli,
@@ -178,8 +174,5 @@ def test_bad_arguments_raise_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'no ValueError from call {i}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr

@@ -1,12 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-import latmass
-
+from conftest import run_python
 from latmass.exact import det
 from latmass.padic import (
     _diag_over_qp,
@@ -146,10 +141,7 @@ def test_not_half_integral_raises_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'no ValueError for {mat} at p = {p}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
 
 
@@ -189,10 +181,7 @@ def test_checks_raise_under_optimize():
         "else:\n"
         "    raise SystemExit('no ArithmeticError from a 2x2 block of class 1')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
 
 

@@ -1,14 +1,10 @@
 """Reduction to odd lattices and the class-number machinery built on it."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import latmass
+from conftest import run_python
 from latmass.reduction import (
     OddMassTable,
     bound_dim31,
@@ -214,10 +210,7 @@ def test_checks_raise_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'no RuntimeError from {check}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
 
 

@@ -1,16 +1,12 @@
 """Root system components, orders, Gram matrices, and enumeration."""
 
 import math
-import os
-import subprocess
-import sys
+import pickle
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import latmass
-
+from conftest import run_python
 from latmass.roots import (
     EMPTY,
     RootSystem,
@@ -192,12 +188,28 @@ def test_enumeration_components():
         assert len(systems) == count, dim
         assert _order_digest([repr(rs.components) for rs in systems]) == digest, dim
     # on every 97th dim-32 system: canonical components, and the invariants
-    # seeded by the recursion equal those a fresh RootSystem computes
+    # the recursion passes in equal those from_parts derives
     for rs in systems[::97]:
         assert rs.components == RootSystem.from_parts(rs.components).components
-        fresh = RootSystem(rs.components)
+        fresh = RootSystem.from_parts(rs.components)
         seeded = (rs.name, rs.rank, rs.det, rs.root_count)
         assert seeded == (fresh.name, fresh.rank, fresh.det, fresh.root_count), rs.components
+
+
+def test_root_system_is_a_slotted_value():
+    # pool workers get their systems by pickle, fields and all
+    systems = [
+        RootSystem.parse("A1^2 D4 E8"),
+        RootSystem.parse("0"),
+        RootSystem.from_parts([("D", 3), ("Z", 1, 2)]),
+        *enumerate_systems(16, dim=16)[::400],
+    ]
+    for rs in systems:
+        assert not hasattr(rs, "__dict__"), rs
+        back = pickle.loads(pickle.dumps(rs))
+        assert back == rs and hash(back) == hash(rs)
+        fields = (back.name, back.rank, back.det, back.root_count)
+        assert fields == (rs.name, rs.rank, rs.det, rs.root_count), rs
 
 
 def reference_systems(dim, filters):
@@ -276,8 +288,5 @@ def test_bad_arguments_raise_under_optimize():
         "else:\n"
         "    raise SystemExit('no RuntimeError from a wrong root count')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr

@@ -2,14 +2,10 @@
 
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-import latmass
+from conftest import run_python
 from latmass.padic import (
     _diag_over_qp,
     hasse_invariant,
@@ -156,10 +152,7 @@ def test_step_raises_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'no ArithmeticError for e = {e}, g = {g}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
 
 
@@ -200,10 +193,7 @@ def test_checks_raise_under_optimize():
         "            continue\n"
         "    raise SystemExit(f'no {error.__name__} about {words!r} from case {i}')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(latmass.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
 
 
