@@ -308,7 +308,12 @@ def cmd_reduce(args) -> None:
 def cmd_bounds(args) -> None:
     if args.base is None and not args.from_table and args.dim in EVEN_DIMS:
         args.base = args.dim
-    if args.base is not None and args.dim is not None and args.dim != args.base:
+    if (
+        args.base is not None
+        and not args.from_table
+        and args.dim is not None
+        and args.dim != args.base
+    ):
         # reject out-of-range dims before paying for the base solve
         _check_odd_dim(args.dim, _check_dim(args.base), 1)
     table = _load_table(args)

@@ -245,6 +245,17 @@ def _borcherds_mod(kind: str, rank: int) -> int:
     return _BORCHERDS_MOD.get((kind, rank), 1)
 
 
+def _component_types(max_rank: int) -> list[tuple[str, int]]:
+    """The component types (kind, rank) of rank at most max_rank, in
+    canonical (rank, kind) order: A < D < E at each rank."""
+    return [
+        (kind, r)
+        for r in range(1, max_rank + 1)
+        for kind in ("A", "D", "E")
+        if kind == "A" or kind == "D" and r >= 4 or r in (6, 7, 8)
+    ]
+
+
 def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = True):
     """All root systems of rank <= max_rank in solver order (rank ascending,
     determinant descending, name ascending).  With a target dimension and
@@ -269,12 +280,7 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     borcherds = filters and dim == 32
     a_names, d_names, e_names = [], [], []
     names = {"A": a_names, "D": d_names, "E": e_names}
-    comps = [
-        (kind, r)
-        for r in range(1, max_rank + 1)
-        for kind in ("A", "D", "E")
-        if kind == "A" or kind == "D" and r >= 4 or r in (6, 7, 8)
-    ]
+    comps = _component_types(max_rank)
     next_ranks = [r for _, r in comps[1:]] + [max_rank + 1]
     # per component type, in canonical order: (rank, Borcherds modulus,
     # rank of the next type, name stack, steps), one step per multiplicity

@@ -149,6 +149,16 @@ def test_reduce_and_bounds_from_saved_table(capsys, tmp_path, table24):
     ]
 
 
+def test_bounds_from_table_ignores_base(capsys, tmp_path, table16):
+    # the loaded table's dimension is the base, so --base is not checked
+    path = tmp_path / "t16.json"
+    table16.save(str(path))
+    args = ("bounds", "--from-table", str(path), "--dim", "12")
+    data = run_json(capsys, *args, "--base", "8")
+    assert data == run_json(capsys, *args)
+    assert data["rows"][0]["dimension"] == 12 and data["rows"][0]["base"] == 16
+
+
 def test_bounds_even_genus(capsys):
     code, out, _ = run(capsys, "bounds", "--dim", "16", "--format", "csv")
     assert code == 0

@@ -1,6 +1,7 @@
 """Embedding counts against a brute-force root enumeration oracle."""
 
 import hashlib
+import random
 
 from latmass import embeddings
 from latmass.embeddings import component_rows, rep_count
@@ -124,25 +125,102 @@ def test_rep_count_matches_recorded():
     )
 
 
+def test_rep_count_matches_recorded_dim32():
+    # digest of the "source<TAB>target<TAB>count" lines of a seeded sample
+    # of dim-32 solve pairs (source rank 20 to 31, target rank 32),
+    # recorded with the component-tuple recursion this one replaced
+    systems = enumerate_systems(32, dim=32)
+    sources = [s for s in systems if 20 <= s.rank <= 31]
+    targets = [s for s in systems if s.rank == 32]
+    rng = random.Random(32)
+    pairs = [(rng.choice(sources), rng.choice(targets)) for _ in range(20000)]
+    counts = [rep_count(s, t) for s, t in pairs]
+    assert sum(1 for n in counts if n) == 1711
+    lines = [f"{s}\t{t}\t{n}" for (s, t), n in zip(pairs, counts)]
+    assert (
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        == "847d7366e59ecbdd4156de860e9c89d9924806062c1acc28c60fd273cc088203"
+    )
+
+
+def test_code_table():
+    # one copy of every component type up to rank 64, in canonical order
+    types = [
+        (k, r)
+        for k, r, _ in RootSystem.from_parts(
+            [("A", r) for r in range(1, 65)]
+            + [("D", r) for r in range(4, 65)]
+            + [("E", r) for r in (6, 7, 8)]
+        ).components
+    ]
+    # sorting codes gives canonical order: the codes of that order ascend
+    codes = embeddings._codes(RootSystem.from_parts(types))
+    assert codes == tuple(range(len(types)))
+    assert list(embeddings._CODE)[: len(types)] == types
+    for s, (sk, sr) in enumerate(types):
+        aut = parse(f"{sk}{sr}").aut_order
+        for t, (tk, tr) in enumerate(types):
+            rows = embeddings._ROWS[s][t]
+            # rep_count starts its scan of a target at the source's code
+            assert t >= s or not rows
+            want = [
+                (copies * aut, RootSystem.from_parts(parts))
+                for copies, parts in component_rows(sk, sr, tk, tr)
+                if copies
+            ]
+            got = [(w, RootSystem.from_parts(types[c] for c in comp)) for w, comp, _, _ in rows]
+            assert got == want, (sk, sr, tk, tr)
+            target = parse(f"{tk}{tr}")
+            for (_, rest), (_, _, d_rank, d_roots) in zip(want, rows):
+                assert (d_rank, d_roots) == (
+                    rest.rank - target.rank,
+                    rest.root_count - target.root_count,
+                )
+
+
+def fresh_memo(monkeypatch, cap=None):
+    """An empty memo and code cache for this test, restored after it."""
+    monkeypatch.setattr(embeddings, "_MEMO", {})
+    monkeypatch.setattr(embeddings, "_CODES", {})
+    monkeypatch.setattr(embeddings, "_stored", 0)
+    if cap is not None:
+        monkeypatch.setattr(embeddings, "_MEMO_CAP", cap)
+
+
+def memo_entries():
+    """The memo as {(sub-source codes, target codes): count}."""
+    return {(sub, t): n for sub, row in embeddings._MEMO.items() for t, n in row.items()}
+
+
 def test_memo_cap_clears(monkeypatch):
     pairs = dim16_pairs()
     want = [rep_count(s, t) for s, t in pairs]
-    monkeypatch.setattr(embeddings, "_MEMO", {})
-    monkeypatch.setattr(embeddings, "_MEMO_CAP", 16)
-    assert [rep_count(s, t) for s, t in pairs] == want
-    assert 0 < len(embeddings._MEMO) <= 16
+    fresh_memo(monkeypatch, cap=16)
+    got, sizes = [], []
+    for s, t in pairs:
+        got.append(rep_count(s, t))
+        sizes.append((len(memo_entries()), embeddings._stored, len(embeddings._CODES)))
+    assert got == want
+    # the cap bounds the stored entries, summed over rows, and the codes
+    assert all(entries == stored <= 16 and codes <= 16 for entries, stored, codes in sizes)
+    assert max(entries for entries, _, _ in sizes) > 0
+    assert len({s for s, _ in pairs}) > 16  # so the code cache was cleared
 
 
 def test_memo_holds_only_sub_problems(monkeypatch):
     # the pair asked for is never asked again, so only the pairs the
     # recursion peels down to are stored: A2 from E8 leaves E6, then A1 A5
-    monkeypatch.setattr(embeddings, "_MEMO", {})
+    fresh_memo(monkeypatch)
     source, target = parse("A1^2 A2"), parse("E8")
     assert rep_count(source, target) > 0
-    assert (source.components, target.components) not in embeddings._MEMO
+    stored = memo_entries()
+    codes = embeddings._codes
 
     def key(s, t):
-        return parse(s).components, parse(t).components
+        return codes(parse(s)), codes(parse(t))
 
-    assert set(embeddings._MEMO) == {key("A1^2", "E6"), key("A1", "A5")}
-    assert embeddings._MEMO[key("A1^2", "E6")] == rep_count(parse("A1^2"), parse("E6"))
+    assert (codes(source), codes(target)) not in stored
+    assert stored == {key("A1^2", "E6"): 2160, key("A1", "A5"): 30}
+    assert embeddings._stored == 2
+    assert brute_rep(parse("A1^2"), parse("E6")) == 2160
+    assert brute_rep(parse("A1"), parse("A5")) == 30
