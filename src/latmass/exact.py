@@ -175,8 +175,10 @@ def generalized_bernoulli(m: int, chi: DirichletCharacter) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None)
 def l_value(s: int, chi: DirichletCharacter) -> Fraction:
-    """Dirichlet L(s, chi) at an integer s <= 0: -B_{1-s,chi} / (1 - s)."""
+    """Dirichlet L(s, chi) at an integer s <= 0: -B_{1-s,chi} / (1 - s),
+    cached: discriminants of one field share their character."""
     if s > 0:
         raise ValueError(f"L(s, chi) is taken at integers s <= 0, got s = {s}")
     return -generalized_bernoulli(1 - s, chi) / (1 - s)

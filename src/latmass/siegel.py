@@ -10,6 +10,11 @@ list.  The Fourier coefficient multiplies the local factors by a rational
 normalisation: the Gamma, zeta and L factors of Katsurada's formula, with
 zeta and L moved to non-positive integers by their functional equations, so
 that the powers of pi cancel in the derivation rather than at run time.
+
+The Jordan blocks of a root system are merged from those of its components.
+At an odd prime a component's blocks follow in closed form from its
+determinant and discriminant group; padic's elimination serves p = 2 and
+the arbitrary Gram matrices of coefficient_for_gram.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DirichletCharacter, det, factorize, l_value, zeta_value
-from .padic import jordan_decompose, local_invariants, merge_blocks, with_unit
-from .roots import RootSystem, component_gram
+from .padic import jordan_decompose, local_invariants, merge_blocks, valuation, with_unit
+from .roots import RootSystem, _component_determinant, component_gram
 
 
 def _sgn(t: int) -> int:
@@ -164,13 +169,39 @@ def f_value(blocks, p: int, x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Block lists for root lattices
+#
+# At odd p the Jordan form of B = G/2 for a component of rank r and Gram
+# determinant D (n + 1 for A_n, 4 for D_n, 3, 2, 1 for E6, E7, E8) needs no
+# elimination.  det B = D / 2^r, and 2 is a unit.  If p does not divide D,
+# B is unimodular, and a unimodular Z_p-lattice is fixed by its rank and
+# determinant class (O'Meara 92:2): r - 1 units 1 and one of class D 2^r.
+# p divides D only for A_n with p | n + 1 and for E6 at p = 3.  With
+# v = v_p(D), the p-part of the discriminant group is cyclic of order p^v,
+# so B is r - 1 units of scale 0 plus one unit <p^v q>.  That block is
+# <2 p^v q> of G, whose dual generator has norm 1/(2 p^v q); the generator
+# of the p-part has norm ((n + 1)/p^v)^2 n/(n + 1) for A_n and 4/3 for E6
+# (Conway-Sloane, SPLAG ch. 4).  Matching square classes gives
+# q = 2 n (n + 1)/p^v for A_n and q = 2 for E6, and the scale-0 units have
+# product class (D/p^v) 2^r q.  merge_blocks makes the list canonical.
 
 
 @lru_cache(maxsize=None)
 def component_blocks(kind: str, rank: int, p: int):
-    g = component_gram(kind, rank)
-    half = tuple(tuple(Fraction(v, 2) if v else 0 for v in row) for row in g)
-    return jordan_decompose(half, p)
+    """Jordan blocks of half the Gram matrix of one component at p: by
+    elimination at p = 2, in closed form at odd p."""
+    g = component_gram(kind, rank)  # raises ValueError for a (kind, rank) with no diagram
+    if p == 2:
+        half = tuple(tuple(Fraction(v, 2) if v else 0 for v in row) for row in g)
+        return jordan_decompose(half, p)
+    d = _component_determinant(kind, rank)
+    v = valuation(d, p)
+    if not v:
+        units = [("u", 0, 1)] * (rank - 1) + [("u", 0, d * pow(2, rank, p) % p)]
+    else:
+        q = 2 * rank * d // p**v if kind == "A" else 2
+        cls = d // p**v * pow(2, rank, p) * q % p
+        units = [("u", 0, 1)] * (rank - 2) + [("u", 0, cls), ("u", v, q % p)]
+    return merge_blocks([units], p)
 
 
 def system_blocks(rs: RootSystem, p: int):

@@ -6,15 +6,17 @@ import random
 from fractions import Fraction
 
 from conftest import run_python
+from latmass import siegel
 from latmass.padic import (
     _diag_over_qp,
     hasse_invariant,
     hilbert_symbol,
+    jordan_decompose,
     local_invariants,
     merge_blocks,
     with_unit,
 )
-from latmass.roots import RootSystem, enumerate_systems
+from latmass.roots import RootSystem, _component_types, component_gram, enumerate_systems
 from latmass.siegel import (
     component_blocks,
     eisenstein_coefficient,
@@ -159,7 +161,8 @@ def test_step_raises_under_optimize():
 def test_checks_raise_under_optimize():
     # bad arguments raise ValueError and broken invariants ArithmeticError,
     # each from its own check, also under python -O; an odd weight would
-    # otherwise divide by zeta(1 - k) = 0
+    # otherwise divide by zeta(1 - k) = 0, and a (kind, rank) with no Dynkin
+    # diagram must not reach the odd-prime closed form
     script = (
         "from latmass import siegel\n"
         "from latmass.roots import RootSystem\n"
@@ -184,6 +187,9 @@ def test_checks_raise_under_optimize():
         "        (('u', 2, 1), ('u', 0, 1)), 3)),\n"
         "    (ArithmeticError, 'units of scale', lambda: siegel.f_polynomial(\n"
         "        (('u', 1, 1),) * 3, 2)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('Z', 1, 3)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('D', 3, 5)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('E', 9, 7)),\n"
         "]\n"
         "for i, (error, words, call) in enumerate(cases):\n"
         "    try:\n"
@@ -268,3 +274,28 @@ def test_coefficient_dimension_24():
 def test_component_blocks_cached_forms():
     assert component_blocks("A", 1, 2) == (("u", 0, 1),)
     assert component_blocks("D", 4, 2) == merge_blocks([component_blocks("D", 4, 2)], 2)
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_component_blocks_closed_form_matches_elimination():
+    # at odd p the blocks come from the determinant and the discriminant
+    # group; elimination on the half-Gram must give the same canonical list
+    pairs = 0
+    for kind, rank in _component_types(40):
+        half = tuple(tuple(Fraction(v, 2) for v in row) for row in component_gram(kind, rank))
+        for p in ODD_PRIMES:
+            assert component_blocks(kind, rank, p) == jordan_decompose(half, p), (kind, rank, p)
+            pairs += 1
+    assert pairs == 960
+
+
+def test_component_blocks_skip_elimination_at_odd_p(monkeypatch):
+    def refuse(mat, p):
+        raise AssertionError(f"jordan_decompose called at p = {p}")
+
+    monkeypatch.setattr(siegel, "jordan_decompose", refuse)
+    for kind, rank in _component_types(40):
+        for p in ODD_PRIMES:
+            assert component_blocks.__wrapped__(kind, rank, p) == component_blocks(kind, rank, p)
