@@ -93,9 +93,12 @@ def _parse_gram(text: str, even: bool = True):
                 [int(tok) for tok in chunk.replace(",", " ").split()]
                 for chunk in text.strip("()").split(";")
             ]
-        gram = tuple(tuple(int(v) for v in row) for row in rows)
+        gram = tuple(tuple(row) for row in rows)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse Gram matrix {text!r}: {exc}") from None
+    # json reads 2.5 as a float and true as a bool: neither is an integer entry
+    if any(type(v) is not int for row in gram for v in row):
+        raise UsageError(f"Gram matrix entries must be integers, got {text!r}")
     n = len(gram)
     if n == 0 or any(len(row) != n for row in gram):
         raise UsageError("Gram matrix must be square and nonempty")
@@ -135,12 +138,6 @@ def _check_dim(dim: int) -> int:
     if dim not in EVEN_DIMS:
         raise UsageError(f"--dim must be one of {EVEN_DIMS}, got {dim}")
     return dim
-
-
-def _check_odd_dim(dim: int | None, base: int, low: int) -> None:
-    """--dim, if given, names an odd-lattice table below the even base."""
-    if dim is not None and not low <= dim <= base - 2:
-        raise UsageError(f"--dim must lie in {low}..{base - 2} for base {base}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +275,32 @@ def cmd_siegel(args) -> None:
     )
 
 
-def _load_table(args) -> MassTable:
+def _base_table(args, low: int) -> MassTable:
+    """The even table that `reduce` and `bounds` start from: the one saved at
+    --from-table, which ignores --base, or a solve at --base; for `bounds`,
+    an even --dim with neither flag is the base.  --dim names an odd-lattice
+    table in low..base-2, or for `bounds` the base itself; it is checked
+    before anything is solved."""
+    bounds = args.command == "bounds"
     if args.from_table:
         table = MassTable.load(args.from_table)
         if table.dim not in EVEN_DIMS:
             raise UsageError(f"table {args.from_table} has unusable dimension {table.dim}")
-        return table
-    if args.base is None:
+        base = table.dim
+    elif args.base is not None:
+        base = _check_dim(args.base)
+    elif bounds and args.dim in EVEN_DIMS:
+        base = args.dim
+    else:
         raise UsageError("need --base or --from-table")
-    return _solve_cached(_check_dim(args.base), args)
+    dim = args.dim
+    if dim is not None and not (low <= dim <= base - 2 or bounds and dim == base):
+        raise UsageError(f"--dim must lie in {low}..{base - 2} for base {base}")
+    return table if args.from_table else _solve_cached(base, args)
 
 
 def cmd_reduce(args) -> None:
-    if args.base is not None and not args.from_table:
-        _check_odd_dim(args.dim, _check_dim(args.base), 0)  # before the base solve
-    table = _load_table(args)
-    _check_odd_dim(args.dim, table.dim, 0)
+    table = _base_table(args, 0)
     reduced = reduce_masses(table)
     dims = reduced.dimensions() if args.dim is None else [args.dim]
     columns = ("dimension", "root_system", "mass", "decimal")
@@ -306,17 +313,7 @@ def cmd_reduce(args) -> None:
 
 
 def cmd_bounds(args) -> None:
-    if args.base is None and not args.from_table and args.dim in EVEN_DIMS:
-        args.base = args.dim
-    if (
-        args.base is not None
-        and not args.from_table
-        and args.dim is not None
-        and args.dim != args.base
-    ):
-        # reject out-of-range dims before paying for the base solve
-        _check_odd_dim(args.dim, _check_dim(args.base), 1)
-    table = _load_table(args)
+    table = _base_table(args, 1)
     base = table.dim
     dim = args.dim if args.dim is not None else base
     columns = ("dimension", "base", "genus", "bound", "root_system_count")
@@ -324,7 +321,6 @@ def cmd_bounds(args) -> None:
         bound = even_class_bound(table)
         rows = [(dim, base, "even", bound.bound, bound.root_system_count)]
     else:
-        _check_odd_dim(dim, base, 1)
         reduced = reduce_masses(table)
         even_tables = {dim: _solve_cached(dim, args)} if dim % 8 == 0 else {}
         bound = class_lower_bound(reduced, dim, even_tables)

@@ -1,16 +1,16 @@
 """Exact rational arithmetic for mass computations.
 
-Bernoulli numbers, factoring and determinants, real primitive Dirichlet
-characters with their generalized Bernoulli numbers, and the values of the
-Riemann zeta function and of L(s, chi) at integers s <= 0, where they are
-rational.  Everything downstream (Siegel series, Eisenstein coefficients,
+Bernoulli numbers, factoring and determinants, the Kronecker symbol, and
+the values of the Riemann zeta function and of L(s, chi) at integers s <= 0,
+where they are rational.  A real primitive character chi is given by its
+fundamental discriminant disc, as chi(m) = kronecker(disc, m) of conductor
+|disc|.  Everything downstream (Siegel series, Eisenstein coefficients,
 masses) is a Fraction built from these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,7 +88,7 @@ def det(mat) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker symbol and real primitive Dirichlet characters
+# Kronecker symbol, fundamental discriminants and real primitive characters
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -137,51 +137,29 @@ def fundamental_discriminant(d: Fraction | int) -> int:
     return d0 if d0 % 4 == 1 else 4 * d0
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Real primitive character chi(m) = kronecker(disc, m), disc fundamental."""
-
-    disc: int
-
-    @classmethod
-    def from_discriminant(cls, d: Fraction | int) -> "DirichletCharacter":
-        return cls(fundamental_discriminant(d))
-
-    @property
-    def conductor(self) -> int:
-        return abs(self.disc)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.disc == 1
-
-    @property
-    def is_odd(self) -> bool:
-        return self.disc < 0
-
-    def __call__(self, m: int) -> int:
-        return kronecker_symbol(self.disc, m)
-
-
-def generalized_bernoulli(m: int, chi: DirichletCharacter) -> Fraction:
-    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), with B_m(x) expanded:
-    sum_j C(m, j) B_j f^(j-1) S_{m-j}, where S_t = sum_a chi(a) a^t."""
-    f = chi.conductor
-    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
-    power_sums = [sum(c * a**t for a, c in support) for t in range(m + 1)]
-    acc = Fraction(0)
-    for j in range(m + 1):
-        acc += math.comb(m, j) * bernoulli(j) * Fraction(f) ** (j - 1) * power_sums[m - j]
-    return acc
+def generalized_bernoulli(m: int, disc: int) -> Fraction:
+    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f) for chi = kronecker(disc, .)
+    and f = |disc|, with B_m(x) expanded: sum_j C(m, j) B_j f^(j-1) S_{m-j},
+    where S_t = sum_a chi(a) a^t."""
+    f = abs(disc)
+    support = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]  # chi(a) != 0
+    terms = [kronecker_symbol(disc, a) for a in support]  # chi(a) a^t at t = 0, 1, ...
+    power_sums = []
+    for _ in range(m + 1):
+        power_sums.append(sum(terms))
+        terms = [x * a for x, a in zip(terms, support)]
+    acc = sum(math.comb(m, j) * bernoulli(j) * f**j * power_sums[m - j] for j in range(m + 1))
+    return acc / f
 
 
 @lru_cache(maxsize=None)
-def l_value(s: int, chi: DirichletCharacter) -> Fraction:
-    """Dirichlet L(s, chi) at an integer s <= 0: -B_{1-s,chi} / (1 - s),
-    cached: discriminants of one field share their character."""
+def l_value(s: int, disc: int) -> Fraction:
+    """Dirichlet L(s, chi) at an integer s <= 0 for chi = kronecker(disc, .),
+    disc fundamental: -B_{1-s,chi} / (1 - s), cached: discriminants of one
+    field share their character."""
     if s > 0:
         raise ValueError(f"L(s, chi) is taken at integers s <= 0, got s = {s}")
-    return -generalized_bernoulli(1 - s, chi) / (1 - s)
+    return -generalized_bernoulli(1 - s, disc) / (1 - s)
 
 
 def zeta_value(s: int) -> Fraction:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DirichletCharacter, det, factorize, l_value, zeta_value
+from .exact import det, factorize, fundamental_discriminant, l_value, zeta_value
 from .padic import jordan_decompose, local_invariants, merge_blocks, valuation, with_unit
 from .roots import RootSystem, _component_determinant, component_gram
 
@@ -260,9 +260,10 @@ def _norm(n: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _l_norm(s: int, disc: int) -> Fraction:
     """L(s, chi) |disc|^(s-1/2) / pi^s for the character chi of
-    Q(sqrt(disc)), from L(1 - s, chi) when s >= 1."""
-    chi = DirichletCharacter.from_discriminant(disc)
-    f = chi.conductor
+    Q(sqrt(disc)), named by its fundamental discriminant, from L(1 - s, chi)
+    when s >= 1."""
+    chi = fundamental_discriminant(disc)
+    f = abs(chi)
     q = math.isqrt(abs(disc) // f)
     if q * q * f != abs(disc):
         raise ArithmeticError(f"|{disc}| is not a square times the conductor {f}")
@@ -272,9 +273,9 @@ def _l_norm(s: int, disc: int) -> Fraction:
         if value and root * root != f:
             raise ArithmeticError(f"L(0, chi) = {value} times |{disc}|^(-1/2) is not rational")
         return value / (q * root)
-    d = 1 if chi.is_odd else 0
+    d = 1 if chi < 0 else 0
     if (s - d) % 2:
-        raise ValueError(f"L({s}, chi) with chi of discriminant {chi.disc}: parity mismatch")
+        raise ValueError(f"L({s}, chi) with chi of discriminant {chi}: parity mismatch")
     scale = Fraction(2 ** (s - 1) * q ** (2 * s - 1), math.factorial(s - 1))
     return _sgn((s - d) // 2) * scale * l_value(1 - s, chi)
 

@@ -320,6 +320,20 @@ def test_config_errors_exit_2(capsys):
     assert run(capsys, "bounds", "--dim", "23", "--base", "24")[0] == 2
     assert run(capsys, "reduce", "--dim", "5")[0] == 2
     assert run(capsys, "reduce", "--base", "8", "--dim", "40")[0] == 2
+    # JSON entries that are not integers are refused, not truncated
+    assert run(capsys, "coeff", "[[2.5]]", "--dim", "8")[0] == 2
+    assert run(capsys, "siegel", "--p", "3", "--gram", "[[2.9]]")[0] == 2
+    assert run(capsys, "coeff", "[[2, true], [true, 2]]", "--dim", "8")[0] == 2
+
+
+def test_dim_checked_before_base_solve(capsys, monkeypatch):
+    def no_solve(dim, args):
+        pytest.fail(f"solved dim {dim} before checking --dim")
+
+    monkeypatch.setattr("latmass.cli._solve_cached", no_solve)
+    assert run(capsys, "reduce", "--base", "8", "--dim", "40")[0] == 2
+    assert run(capsys, "bounds", "--base", "24", "--dim", "23")[0] == 2
+    assert run(capsys, "bounds", "--base", "16", "--dim", "0")[0] == 2
 
 
 def test_console_script_help():

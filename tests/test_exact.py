@@ -7,7 +7,6 @@ import pytest
 
 from conftest import run_python
 from latmass.exact import (
-    DirichletCharacter,
     bernoulli,
     det,
     factorize,
@@ -32,22 +31,21 @@ def test_bernoulli_numbers():
 def test_generalized_bernoulli_matches_textbook_sum():
     # B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), with the Bernoulli
     # polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j) written out here
-    def textbook(m, chi):
-        f = chi.conductor
+    def textbook(m, disc):
+        f = abs(disc)
         acc = Fraction(0)
         for a in range(1, f + 1):
             x = Fraction(a, f)
             b_m = sum(math.comb(m, j) * bernoulli(j) * x ** (m - j) for j in range(m + 1))
-            acc += chi(a) * b_m
+            acc += kronecker_symbol(disc, a) * b_m
         return Fraction(f) ** (m - 1) * acc
 
     rng = random.Random(10)
     picks = [rng.choice([-1, 1]) * rng.randint(2, 150) for _ in range(12)]
     discs = {fundamental_discriminant(d) for d in picks}
     for disc in sorted(discs - {1}) + [-3, -4, 5, 8, -8]:
-        chi = DirichletCharacter(disc)
         for m in range(1, 13):
-            assert generalized_bernoulli(m, chi) == textbook(m, chi), (m, disc)
+            assert generalized_bernoulli(m, disc) == textbook(m, disc), (m, disc)
 
 
 def test_squarefree_decompose():
@@ -84,17 +82,17 @@ KNOWN_CHARACTERS = {
 
 def test_kronecker_character_tables():
     for disc, table in KNOWN_CHARACTERS.items():
-        chi = DirichletCharacter(disc)
-        for m in range(1, 3 * chi.conductor + 1):
-            expect = table.get(m % chi.conductor, 0)
-            assert chi(m) == expect, (disc, m)
+        f = abs(disc)
+        for m in range(1, 3 * f + 1):
+            expect = table.get(m % f, 0)
+            assert kronecker_symbol(disc, m) == expect, (disc, m)
     assert kronecker_symbol(17, 1) == 1
     # completely multiplicative in the top argument
     for disc in KNOWN_CHARACTERS:
-        chi = DirichletCharacter(disc)
         for m in range(1, 30):
             for n in range(1, 30):
-                assert chi(m * n) == chi(m) * chi(n)
+                chi_mn = kronecker_symbol(disc, m * n)
+                assert chi_mn == kronecker_symbol(disc, m) * kronecker_symbol(disc, n)
 
 
 def test_fundamental_discriminant():
@@ -111,31 +109,29 @@ def test_fundamental_discriminant():
 
 
 def test_generalized_bernoulli():
-    assert generalized_bernoulli(1, DirichletCharacter(-3)) == Fraction(-1, 3)
-    assert generalized_bernoulli(1, DirichletCharacter(-4)) == Fraction(-1, 2)
-    assert generalized_bernoulli(2, DirichletCharacter(5)) == Fraction(4, 5)
+    assert generalized_bernoulli(1, -3) == Fraction(-1, 3)
+    assert generalized_bernoulli(1, -4) == Fraction(-1, 2)
+    assert generalized_bernoulli(2, 5) == Fraction(4, 5)
     # even nontrivial characters kill B_1
-    assert generalized_bernoulli(1, DirichletCharacter(5)) == 0
-    assert generalized_bernoulli(1, DirichletCharacter(12)) == 0
+    assert generalized_bernoulli(1, 5) == 0
+    assert generalized_bernoulli(1, 12) == 0
 
 
 def test_l_values_closed_form():
-    assert l_value(0, DirichletCharacter(-3)) == Fraction(1, 3)
-    assert l_value(0, DirichletCharacter(-4)) == Fraction(1, 2)
-    assert l_value(-1, DirichletCharacter(5)) == Fraction(-2, 5)
-    assert l_value(-3, DirichletCharacter(8)) == 11
+    assert l_value(0, -3) == Fraction(1, 3)
+    assert l_value(0, -4) == Fraction(1, 2)
+    assert l_value(-1, 5) == Fraction(-2, 5)
+    assert l_value(-3, 8) == 11
     # trivial zeros: chi and 1 - s of opposite parity
-    assert l_value(0, DirichletCharacter(5)) == 0
-    assert l_value(-1, DirichletCharacter(-4)) == 0
-    assert l_value(-3, DirichletCharacter(1)) == zeta_value(-3)
+    assert l_value(0, 5) == 0
+    assert l_value(-1, -4) == 0
+    assert l_value(-3, 1) == zeta_value(-3)
 
 
 def hurwitz_l(s: int, disc: int) -> mp.mpf:
-    chi = DirichletCharacter(disc)
-    f = chi.conductor
-    return mp.mpf(f) ** (-s) * mp.fsum(
-        chi(a) * mp.zeta(s, mp.mpf(a) / f) for a in range(1, f + 1) if chi(a)
-    )
+    f = abs(disc)
+    chi = {a: c for a in range(1, f + 1) if (c := kronecker_symbol(disc, a))}
+    return mp.mpf(f) ** (-s) * mp.fsum(c * mp.zeta(s, mp.mpf(a) / f) for a, c in chi.items())
 
 
 def fraction_mpf(x: Fraction) -> mp.mpf:
@@ -148,7 +144,7 @@ def test_l_values_against_mpmath():
     for s in range(0, -8, -1):
         assert mp.almosteq(fraction_mpf(zeta_value(s)), mp.zeta(s), rel_eps=tol, abs_eps=tol), s
         for disc in (-4, -3, 5, 8, -8, 12):
-            got = fraction_mpf(l_value(s, DirichletCharacter(disc)))
+            got = fraction_mpf(l_value(s, disc))
             want = hurwitz_l(s, disc)
             assert mp.almosteq(got, want, rel_eps=tol, abs_eps=tol), (s, disc)
 
@@ -165,7 +161,7 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: zeta_value(1),\n"
         "    lambda: zeta_value(3),\n"
         "    lambda: fundamental_discriminant(0),\n"
-        "    lambda: l_value(1, DirichletCharacter(-4)),\n"
+        "    lambda: l_value(1, -4),\n"
         "]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"

@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import run_python
 from latmass import siegel
 from latmass.padic import (
@@ -201,6 +203,24 @@ def test_checks_raise_under_optimize():
     )
     result = run_python("-O", "-c", script)
     assert result.returncode == 0, result.stderr
+
+
+def test_l_norm_scales_over_non_fundamental_discriminants():
+    # d q^2 has the character of d, so only the factor |disc|^(s - 1/2)
+    # changes, by q^(2s - 1); the cases that raise for d raise for d q^2 too
+    checked = 0
+    for d in (1, -3, -4, 5, 8, -8, 12, -7, 13, -15, 21):
+        for q in (1, 2, 3, 5, 6):
+            for s in range(9):
+                try:
+                    base = siegel._l_norm(s, d)
+                except (ValueError, ArithmeticError) as exc:
+                    with pytest.raises(type(exc)):
+                        siegel._l_norm(s, d * q * q)
+                    continue
+                assert siegel._l_norm(s, d * q * q) == base * Fraction(q) ** (2 * s - 1), (s, d, q)
+                checked += 1
+    assert checked == 255
 
 
 def test_pair_block_eta_identity():
