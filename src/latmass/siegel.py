@@ -160,11 +160,15 @@ def f_polynomial(blocks, p: int) -> tuple[int, ...]:
 
 
 def f_value(blocks, p: int, x) -> Fraction:
-    """F_p(B; x) by Horner's rule on f_polynomial."""
-    acc = Fraction(0)
-    for c in reversed(f_polynomial(tuple(blocks), p)):
-        acc = acc * x + c
-    return acc
+    """F_p(B; x) by Horner's rule on f_polynomial, in integers: at x = a/b
+    it sums c_i a^i b^(d - i) and divides by b^d once."""
+    a, b = x.numerator, x.denominator
+    poly = f_polynomial(tuple(blocks), p)
+    acc, scale = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        scale *= b
+        acc = acc * a + c * scale
+    return Fraction(acc, scale)
 
 
 # ---------------------------------------------------------------------------

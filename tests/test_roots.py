@@ -1,5 +1,6 @@
 """Root system components, orders, Gram matrices, and enumeration."""
 
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -180,6 +181,10 @@ def test_enumeration_counts():
 # dim -> (count, digest of repr(rs.components) in solver order), recorded
 # from the recursion that added components in name order and then sorted them
 COMPONENT_DIGESTS = {24: (30104, "cbe734c79d156ad4"), 32: (135443, "5a5091ce0a85d866")}
+# dim -> digest of "name\trank\tdet\troot_count" in solver order, recorded
+# from the enumeration that sorted (-det, name, ...) tuples and built each
+# system through RootSystem's __init__
+FIELD_DIGESTS = {24: "307b818e6ff10e7a", 32: "6cd381b57ac0cfc1"}
 
 
 def test_enumeration_components():
@@ -187,13 +192,24 @@ def test_enumeration_components():
         systems = enumerate_systems(dim, dim=dim)
         assert len(systems) == count, dim
         assert _order_digest([repr(rs.components) for rs in systems]) == digest, dim
-    # on every 97th dim-32 system: canonical components, and the invariants
-    # the recursion passes in equal those from_parts derives
+        fields = [f"{rs.name}\t{rs.rank}\t{rs.det}\t{rs.root_count}" for rs in systems]
+        assert _order_digest(fields) == FIELD_DIGESTS[dim], dim
+    # on every 97th dim-32 system: canonical components, the invariants the
+    # recursion passes in equal those from_parts derives, and the system is
+    # the same frozen, slotted value as one from_parts builds
     for rs in systems[::97]:
-        assert rs.components == RootSystem.from_parts(rs.components).components
         fresh = RootSystem.from_parts(rs.components)
+        assert rs.components == fresh.components
         seeded = (rs.name, rs.rank, rs.det, rs.root_count)
         assert seeded == (fresh.name, fresh.rank, fresh.det, fresh.root_count), rs.components
+        assert rs == fresh and hash(rs) == hash(fresh), rs
+        assert not hasattr(rs, "__dict__"), rs
+        back = pickle.loads(pickle.dumps(rs))
+        assert back == rs and hash(back) == hash(rs)
+        assert (back.name, back.rank, back.det, back.root_count) == seeded, rs
+        for f in dataclasses.fields(RootSystem):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rs, f.name, getattr(rs, f.name))
 
 
 def test_root_system_is_a_slotted_value():
