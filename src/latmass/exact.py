@@ -70,6 +70,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 def det(mat) -> Fraction:
     """Determinant of a square rational matrix by Gaussian elimination."""
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("the matrix is not square")
     a = [[Fraction(x) for x in row] for row in mat]
     out = Fraction(1)
     for c in range(n):

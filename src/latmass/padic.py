@@ -128,48 +128,41 @@ def chi_p(x: Fraction | int, p: int) -> int:
 # Jordan decomposition
 
 
-def _merge_units_odd(blocks: list[Block], p: int) -> list[Block]:
-    """Per scale, <1,...,1,cls> with cls the determinant class."""
-    qnr = next(r for r in range(2, p) if _legendre(r, p) == -1)
-    by_scale: dict[int, list[int]] = {}
-    for kind, e, u in blocks:
-        if kind != "u":
-            raise ValueError(f"block {(kind, e, u)} at p = {p}: odd primes have unit blocks only")
-        by_scale.setdefault(e, []).append(u)
-    out: list[Block] = []
-    for e in sorted(by_scale):
-        units = by_scale[e]
-        cls = 1
-        for u in units:
-            cls *= _legendre(u, p)
-        out.extend(("u", e, 1) for _ in range(len(units) - 1))
-        out.append(("u", e, 1 if cls == 1 else qnr))
-    return out
+def merge_blocks(parts, p: int) -> tuple[Block, ...]:
+    """Canonical block list of a direct sum given the summands' blocks.
 
-
-def _canonicalize_2(blocks: list[Block]) -> list[Block]:
-    """Reduce to at most two odd units and one Y per scale.
-
-    Uses the equivalences Y + Y = H + H and, for three units at one scale,
-    <a, b, c> = <a+b+c> + K at the next scale, where K is H or Y according
-    as abc(a+b+c) is 7 or 3 mod 8 (the complement of a splitting vector is
-    an even binary form of determinant class abc(a+b+c) one scale up).
+    At odd p each scale becomes <1,...,1,cls>, cls the determinant class.
+    At p = 2 each scale keeps at most two odd units and one Y: Y + Y = H + H,
+    and three units <a, b, c> = <a+b+c> + K one scale up, K = H or Y as
+    abc(a+b+c) is 7 or 3 mod 8 (the complement of a splitting vector is an
+    even binary form of determinant class abc(a+b+c)).  A merge adds no
+    unit, so one ascending walk to one scale above the highest settles and
+    emits every scale: units by residue, the H's, then at most one Y.
     """
+    two = p == 2
     units: dict[int, list[int]] = {}
     evens: dict[int, list[int]] = {}  # scale -> [h_count, y_count]
-    for kind, e, u in blocks:
-        if kind == "u":
-            units.setdefault(e, []).append(u % 8)
-        else:
-            evens.setdefault(e, [0, 0])[0 if kind == "h" else 1] += 1
-    if not units and not evens:
-        return []
-    e = min(list(units) + list(evens))
-    while units or evens:
-        top = max(list(units) + list(evens))
-        if e > top:
-            break
-        us = sorted(units.get(e, []))
+    for part in parts:
+        for kind, e, u in part:
+            if kind == "u":
+                units.setdefault(e, []).append(u % 8 if two else u)
+            elif two:
+                evens.setdefault(e, [0, 0])[0 if kind == "h" else 1] += 1
+            else:
+                raise ValueError(f"block {(kind, e, u)} at p = {p}: odd primes have unit blocks only")
+    out: list[Block] = []
+    if not two:
+        qnr = next(r for r in range(2, p) if _legendre(r, p) == -1)
+        for e in sorted(units):
+            cls = 1
+            for u in units[e]:
+                cls *= _legendre(u, p)
+            out.extend(("u", e, 1) for _ in range(len(units[e]) - 1))
+            out.append(("u", e, 1 if cls == 1 else qnr))
+        return tuple(out)
+    scales = units.keys() | evens.keys()
+    for e in range(min(scales), max(scales) + 2) if scales else ():
+        us = sorted(units.get(e, ()))
         while len(us) >= 3:
             a, b, c = us[:3]
             s = (a + b + c) % 8
@@ -178,31 +171,11 @@ def _canonicalize_2(blocks: list[Block]) -> list[Block]:
                 raise ArithmeticError(f"units {a}, {b}, {c} of scale {e} leave no even binary form")
             evens.setdefault(e + 1, [0, 0])[0 if t == 7 else 1] += 1
             us = sorted([s] + us[3:])
-        if us:
-            units[e] = us
-        elif e in units:
-            del units[e]
-        if e in evens:
-            h, y = evens[e]
-            h += 2 * (y // 2)
-            y %= 2
-            evens[e] = [h, y]
-        e += 1
-    out: list[Block] = []
-    for e in sorted(set(units) | set(evens)):
-        out.extend(("u", e, u) for u in sorted(units.get(e, [])))
+        out.extend(("u", e, u) for u in us)
         h, y = evens.get(e, (0, 0))
-        out.extend(("h", e, 0) for _ in range(h))
-        out.extend(("y", e, 0) for _ in range(y))
-    return out
-
-
-def merge_blocks(parts, p: int) -> tuple[Block, ...]:
-    """Canonical block list of a direct sum given the summands' blocks."""
-    flat = [blk for part in parts for blk in part]
-    if p == 2:
-        return tuple(_canonicalize_2(flat))
-    return tuple(_merge_units_odd(flat, p))
+        out.extend(("h", e, 0) for _ in range(h + y - y % 2))
+        out.extend(("y", e, 0) for _ in range(y % 2))
+    return tuple(out)
 
 
 def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
@@ -217,6 +190,8 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
     the order is part of the output.  Heap items of changed entries are
     skipped."""
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("the matrix is not square")
     two = p == 2
     rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     nu: list[dict[int, int]] = [{} for _ in range(n)]

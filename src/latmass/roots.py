@@ -128,13 +128,15 @@ class RootSystem:
             if not m:
                 raise ValueError(f"bad root system token: {token!r}")
             if m.group(4):
-                parts.append(("Z", 1, int(m.group(5) or 1)))
+                kind, rank, mult = "Z", 1, m.group(5)
             else:
-                kind, rank = m.group(1), int(m.group(2))
-                # normalize_component would take these as empty systems
-                if kind == "A" and rank < 1 or kind == "D" and rank < 2:
-                    raise ValueError(f"bad root system token: {token!r}")
-                parts.append((kind, rank, int(m.group(3) or 1)))
+                kind, rank, mult = m.group(1), int(m.group(2)), m.group(3)
+            mult = int(mult or 1)
+            # normalize_component would take these as empty systems, and
+            # from_parts drops a component of multiplicity 0
+            if kind == "A" and rank < 1 or kind == "D" and rank < 2 or mult < 1:
+                raise ValueError(f"bad root system token: {token!r}")
+            parts.append((kind, rank, mult))
         return cls.from_parts(parts)
 
     def __str__(self) -> str:

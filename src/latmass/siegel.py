@@ -212,8 +212,6 @@ def system_blocks(rs: RootSystem, p: int):
     parts = []
     for kind, rank, mult in rs.components:
         parts.extend([component_blocks(kind, rank, p)] * mult)
-    if not parts:
-        return ()
     return merge_blocks(parts, p)
 
 

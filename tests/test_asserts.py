@@ -1,5 +1,6 @@
-"""No module of the package has an `assert` statement, or an import from
-outside the standard library.
+"""No module of the package has an `assert` statement, an import from
+outside the standard library, or a top-level function or class that nothing
+uses.
 
 An assert vanishes under python -O, so a check that guards a result is a
 raise instead.  The package has no runtime dependencies.
@@ -12,6 +13,7 @@ from pathlib import Path
 import latmass
 
 PACKAGE = Path(latmass.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def assert_lines(path: Path) -> list[int]:
@@ -39,3 +41,35 @@ def test_standard_library_imports_only():
     found = {path.stem: outside_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert found.keys() >= {"cli", "exact", "padic", "roots", "siegel", "solver"}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def top_level_definitions(path: Path) -> list[str]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(path.read_text()).body if isinstance(node, kinds)]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a module reads, imports by name or spells as a string (the
+    benchmark's tracer patches functions named in string constants)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_no_unreferenced_definitions():
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            used |= referenced_names(path)
+    defined = {path.stem: top_level_definitions(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert defined.keys() >= {"cli", "exact", "padic", "roots", "siegel", "solver"}
+    unused = {f"{module}.{name}" for module, names in defined.items() for name in names if name not in used}
+    assert unused == set()

@@ -311,6 +311,7 @@ def test_verify_takes_no_solver_flags(capsys):
 def test_config_errors_exit_2(capsys):
     assert run(capsys, "mass", "--dim", "12")[0] == 2
     assert run(capsys, "coeff", "E9", "--dim", "8")[0] == 2
+    assert run(capsys, "emb", "A1^0", "E8")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(2 1; 1 1)", "--dim", "8")[0] == 2
     assert run(capsys, "siegel", "--p", "4", "--gram", "(4)")[0] == 2

@@ -162,6 +162,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: zeta_value(3),\n"
         "    lambda: fundamental_discriminant(0),\n"
         "    lambda: l_value(1, -4),\n"
+        "    lambda: det(((2, 1),)),\n"
+        "    lambda: det(((2, 1), (1,))),\n"
         "]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"

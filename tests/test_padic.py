@@ -150,7 +150,7 @@ def test_checks_raise_under_optimize():
     # also under python -O
     script = (
         "from fractions import Fraction as F\n"
-        "from latmass import padic\n"
+        "from latmass import padic, siegel\n"
         "cases = [\n"
         "    (ValueError, lambda: padic.hilbert_symbol(0, 1, None)),\n"
         "    (ValueError, lambda: padic.jordan_decompose(((F(0), F(0)), (F(0), F(0))), 3)),\n"
@@ -162,6 +162,11 @@ def test_checks_raise_under_optimize():
         "        ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 1)), 2)),\n"
         "    (ValueError, lambda: padic.jordan_decompose(((0, 1, 3), (1, 0, 3), (3, 3, 18)), 3)),\n"
         "    (ValueError, lambda: padic.merge_blocks([[('h', 1, 0)]], 3)),\n"
+        "    # a matrix that is not square is refused, not truncated\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((1, 0),), 3)),\n"
+        "    (ValueError, lambda: padic.jordan_decompose(((2, 1), (1,)), 2)),\n"
+        "    (ValueError, lambda: siegel.coefficient_for_gram(((2, 1),), 8)),\n"
+        "    (ValueError, lambda: siegel.coefficient_for_gram(((2, 1), (1,)), 8)),\n"
         "    (ValueError, lambda: padic.local_invariants((('u', -1, 1),), 3)),\n"
         "    (ArithmeticError, lambda: padic.merge_blocks([[('u', 0, 2)] * 3], 2)),\n"
         "]\n"
@@ -244,7 +249,7 @@ def _signature(blocks, p):
     )
 
 
-def _random_blocks(rng, p, most=4, top=2):
+def _random_raw_blocks(rng, p, most=4, top=2):
     blocks = []
     for _ in range(rng.randint(1, most)):
         e = rng.randint(0, top)
@@ -253,7 +258,11 @@ def _random_blocks(rng, p, most=4, top=2):
         else:
             u = rng.choice((1, 3, 5, 7)) if p == 2 else rng.choice(range(1, p))
             blocks.append(("u", e, u))
-    return merge_blocks([blocks], p)
+    return blocks
+
+
+def _random_blocks(rng, p, most=4, top=2):
+    return merge_blocks([_random_raw_blocks(rng, p, most, top)], p)
 
 
 def test_jordan_roundtrip_invariants():
@@ -286,6 +295,20 @@ def test_merge_matches_direct_sum():
             )
             merged = merge_blocks([b1, b2], p)
             assert _signature(merged, p) == _signature(jordan_decompose(direct, p), p)
+
+
+def test_merge_is_a_canonical_form():
+    # merging again changes nothing, and the result does not depend on the
+    # order of the blocks or on how they are split into summands
+    rng = random.Random(18)
+    for p in PRIMES:
+        for most, top in ((4, 2), (8, 5)) * 200:
+            raw = _random_raw_blocks(rng, p, most, top)
+            merged = merge_blocks([raw], p)
+            assert merge_blocks([merged], p) == merged, (raw, p)
+            rng.shuffle(raw)
+            cut = rng.randint(0, len(raw))
+            assert merge_blocks([raw[:cut], raw[cut:]], p) == merged, (raw, p)
 
 
 def test_with_unit():

@@ -62,7 +62,10 @@ def test_parse_and_str_round_trip():
 
 
 def test_parse_rejects_junk():
-    for bad in ["E5", "B2", "A1^", "Q", "A", "E9", "E-6", "A0", "A-1", "D0", "D1"]:
+    bad_tokens = ["E5", "B2", "A1^", "Q", "A", "E9", "E-6", "A0", "A-1", "D0", "D1"]
+    # a multiplicity of 0 would drop the component, as A0 and D1 would be
+    bad_tokens += ["A1^0", "Z^0", "E6^0 A2"]
+    for bad in bad_tokens:
         with pytest.raises(ValueError):
             RootSystem.parse(bad)
 
