@@ -11,10 +11,13 @@ normalisation: the Gamma, zeta and L factors of Katsurada's formula, with
 zeta and L moved to non-positive integers by their functional equations, so
 that the powers of pi cancel in the derivation rather than at run time.
 
-The Jordan blocks of a root system are merged from those of its components.
-At an odd prime a component's blocks follow in closed form from its
-determinant and discriminant group; padic's elimination serves p = 2 and
-the arbitrary Gram matrices of coefficient_for_gram.
+The Jordan blocks of a root system are merged from those of its components,
+and a component's blocks follow in closed form from its determinant and
+discriminant group at every prime.  At p = 2 the 2-part of the discriminant
+group gives the constituents of the Gram matrix that are not unimodular,
+and the rest is the even unimodular form read off the determinant class
+mod 8.  padic's elimination serves only the arbitrary Gram matrices of
+coefficient_for_gram.
 """
 
 from __future__ import annotations
@@ -174,30 +177,84 @@ def f_value(blocks, p: int, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # Block lists for root lattices
 #
-# At odd p the Jordan form of B = G/2 for a component of rank r and Gram
-# determinant D (n + 1 for A_n, 4 for D_n, 3, 2, 1 for E6, E7, E8) needs no
-# elimination.  det B = D / 2^r, and 2 is a unit.  If p does not divide D,
+# The Jordan form of B = G/2 for a component of rank r and Gram determinant
+# D (n + 1 for A_n, 4 for D_n, 3, 2, 1 for E6, E7, E8) needs no elimination
+# at any prime; it follows from D and the discriminant group G*/G
+# (Conway-Sloane, SPLAG ch. 4).
+#
+# At odd p, det B = D / 2^r, and 2 is a unit.  If p does not divide D,
 # B is unimodular, and a unimodular Z_p-lattice is fixed by its rank and
 # determinant class (O'Meara 92:2): r - 1 units 1 and one of class D 2^r.
 # p divides D only for A_n with p | n + 1 and for E6 at p = 3.  With
 # v = v_p(D), the p-part of the discriminant group is cyclic of order p^v,
 # so B is r - 1 units of scale 0 plus one unit <p^v q>.  That block is
 # <2 p^v q> of G, whose dual generator has norm 1/(2 p^v q); the generator
-# of the p-part has norm ((n + 1)/p^v)^2 n/(n + 1) for A_n and 4/3 for E6
-# (Conway-Sloane, SPLAG ch. 4).  Matching square classes gives
-# q = 2 n (n + 1)/p^v for A_n and q = 2 for E6, and the scale-0 units have
-# product class (D/p^v) 2^r q.  merge_blocks makes the list canonical.
+# of the p-part has norm ((n + 1)/p^v)^2 n/(n + 1) for A_n and 4/3 for E6.
+# Matching square classes gives q = 2 n (n + 1)/p^v for A_n and q = 2 for
+# E6, and the scale-0 units have product class (D/p^v) 2^r q.
+#
+# At p = 2, G is even, and the 2-part of its discriminant group fixes the
+# constituents of G of scale 2^(e+1) >= 2, which are B-blocks of scale 2^e.
+# A_n for odd n, with n + 1 = 2^v m and m odd, has a cyclic 2-part of order
+# 2^v whose generator has norm m n / 2^v mod 2: G has <2^v m n>, B has
+# <2^(v-1) m n>.  D_n for odd n has a cyclic part of order 4, generator
+# norm n/4: B has <2 n>.  For even n it is (Z/2)^2, the vector class of
+# norm 1 and two spinor classes of norm n/4, so G has 2H (n = 0 mod 8),
+# 2Y (n = 4), 2<3, 7> (n = 6) or 2<1, 1> = 2<5, 5> (n = 2).  E7 has Z/2 of
+# norm 3/2: G has <2 7>.  Where the discriminant form fixes a unit only mod
+# 4, or up to <1, 1> = <5, 5>, the residue written is the one elimination
+# picks (<5, 5> for D_n at n = 10 mod 16), which the recorded block digest
+# pins.  The rest of G is even unimodular, of rank r minus the 2-part's,
+# with determinant class D over the 2-part's: the odd part of D times the
+# 2-part's classes mod 8 (u^2 = 1 mod 8 for odd u; H and Y have classes
+# -1 and 3).  Over Z_2 that form is E(r, w): H^(r/2) for w = (-1)^(r/2),
+# H^(r/2 - 1) Y for w = -3 (-1)^(r/2) mod 8, and no other class occurs.
+# merge_blocks makes every list canonical.
+
+
+def _two_part(kind: str, rank: int) -> list:
+    """B-blocks of a component at p = 2 from the 2-part of its
+    discriminant group: those of scale above 1 in G."""
+    if kind == "A":
+        if rank % 2 == 0:
+            return []
+        v = valuation(rank + 1, 2)
+        return [("u", v - 1, ((rank + 1) >> v) * rank % 8)]
+    if kind == "D":
+        if rank % 2:
+            return [("u", 1, rank % 8)]
+        if rank % 4 == 0:
+            return [("h" if rank % 8 == 0 else "y", 1, 0)]
+        units = (3, 7) if rank % 8 == 6 else (5, 5) if rank % 16 == 10 else (1, 1)
+        return [("u", 0, u) for u in units]
+    return [("u", 0, 7)] if rank == 7 else []
+
+
+def _even_unimodular(rank: int, w: int) -> list:
+    """E(rank, w), the even unimodular Z_2-form of determinant class w mod
+    8, as B-blocks of scale 0: H^(rank/2), or one H traded for a Y."""
+    h, w = rank // 2, w % 8
+    if rank % 2 == 0 and w == (-1) ** h % 8:
+        return [("h", 0, 0)] * h
+    if rank % 2 == 0 and h and w == -3 * (-1) ** h % 8:
+        return [("h", 0, 0)] * (h - 1) + [("y", 0, 0)]
+    raise ArithmeticError(f"no even unimodular 2-adic form of rank {rank} and class {w} mod 8")
 
 
 @lru_cache(maxsize=None)
 def component_blocks(kind: str, rank: int, p: int):
-    """Jordan blocks of half the Gram matrix of one component at p: by
-    elimination at p = 2, in closed form at odd p."""
-    g = component_gram(kind, rank)  # raises ValueError for a (kind, rank) with no diagram
-    if p == 2:
-        half = tuple(tuple(Fraction(v, 2) if v else 0 for v in row) for row in g)
-        return jordan_decompose(half, p)
+    """Jordan blocks of half the Gram matrix of one component at p, in
+    closed form from its determinant and discriminant group."""
+    component_gram(kind, rank)  # raises ValueError for a (kind, rank) with no diagram
     d = _component_determinant(kind, rank)
+    if p == 2:
+        blocks = _two_part(kind, rank)
+        w = d >> valuation(d, 2)
+        size = 0
+        for b_kind, _, u in blocks:
+            w *= u if b_kind == "u" else -1 if b_kind == "h" else 3
+            size += 1 if b_kind == "u" else 2
+        return merge_blocks([blocks + _even_unimodular(rank - size, w)], 2)
     v = valuation(d, p)
     if not v:
         units = [("u", 0, 1)] * (rank - 1) + [("u", 0, d * pow(2, rank, p) % p)]
@@ -287,13 +344,15 @@ def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
     blocks_at(p) gives the Jordan blocks of B at p."""
     if dim % 2:
         raise ValueError(f"dim must be even, got {dim}")
-    if n == 0:
-        return Fraction(1)
+    if dim <= 0:
+        raise ValueError(f"dim must be positive, got {dim}")
     if n > dim:
         raise ValueError(f"rank {n} exceeds dim {dim}")
     k = dim // 2
     if k % 2:
         raise ValueError(f"weight dim / 2 = {k} is odd")
+    if n == 0:
+        return Fraction(1)
     disc_b = det_b * Fraction(4) ** (n // 2)
     if disc_b.denominator != 1:
         raise ValueError(f"det {det_b} is not that of a half-integral matrix of rank {n}")
@@ -311,6 +370,8 @@ def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
 def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:
     """Fourier coefficient of the weight dim/2 Siegel Eisenstein series at
     half the Gram matrix of the given root system."""
+    if any(kind == "Z" for kind, _, _ in rs.components):
+        raise ValueError(f"{rs} has a Z component, which has no roots")
     n = rs.rank
     return _coefficient(n, dim, Fraction(rs.det, 2**n), lambda p: system_blocks(rs, p))
 

@@ -311,6 +311,10 @@ def test_verify_takes_no_solver_flags(capsys):
 def test_config_errors_exit_2(capsys):
     assert run(capsys, "mass", "--dim", "12")[0] == 2
     assert run(capsys, "coeff", "E9", "--dim", "8")[0] == 2
+    # a Z component is refused by name before any arithmetic
+    for form, dim in (("Z^2 E8", "16"), ("Z A1", "8"), ("Z", "8")):
+        code, _, err = run(capsys, "coeff", form, "--dim", dim)
+        assert code == 2 and "has a Z component" in err, (form, err)
     assert run(capsys, "emb", "A1^0", "E8")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(2 1; 1 1)", "--dim", "8")[0] == 2

@@ -163,8 +163,9 @@ def test_step_raises_under_optimize():
 def test_checks_raise_under_optimize():
     # bad arguments raise ValueError and broken invariants ArithmeticError,
     # each from its own check, also under python -O; an odd weight would
-    # otherwise divide by zeta(1 - k) = 0, and a (kind, rank) with no Dynkin
-    # diagram must not reach the odd-prime closed form
+    # otherwise divide by zeta(1 - k) = 0, a (kind, rank) with no Dynkin
+    # diagram must not reach the closed form at any prime, and a Z component
+    # or the empty system must not skip the checks
     script = (
         "from latmass import siegel\n"
         "from latmass.roots import RootSystem\n"
@@ -192,6 +193,18 @@ def test_checks_raise_under_optimize():
         "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('Z', 1, 3)),\n"
         "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('D', 3, 5)),\n"
         "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('E', 9, 7)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('Z', 1, 2)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('D', 3, 2)),\n"
+        "    (ValueError, 'no Dynkin diagram', lambda: siegel.component_blocks('E', 9, 2)),\n"
+        "    (ArithmeticError, 'no even unimodular', lambda: siegel._even_unimodular(0, 5)),\n"
+        "    (ArithmeticError, 'no even unimodular', lambda: siegel._even_unimodular(3, 7)),\n"
+        "    (ValueError, 'has a Z component', lambda: siegel.eisenstein_coefficient(R('Z'), 8)),\n"
+        "    (ValueError, 'has a Z component', lambda: siegel.eisenstein_coefficient(R('Z A1'), 8)),\n"
+        "    (ValueError, 'has a Z component', lambda: siegel.eisenstein_coefficient(R('Z^2 E8'), 16)),\n"
+        "    (ValueError, 'weight dim / 2 = 5', lambda: siegel.eisenstein_coefficient(R('0'), 10)),\n"
+        "    (ValueError, 'dim must be positive', lambda: siegel.eisenstein_coefficient(R('0'), 0)),\n"
+        "    (ValueError, 'dim must be positive', lambda: siegel.eisenstein_coefficient(R('0'), -8)),\n"
+        "    (ValueError, 'dim must be positive', lambda: siegel.eisenstein_coefficient(R('A1'), -8)),\n"
         "]\n"
         "for i, (error, words, call) in enumerate(cases):\n"
         "    try:\n"
@@ -300,22 +313,25 @@ ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def test_component_blocks_closed_form_matches_elimination():
-    # at odd p the blocks come from the determinant and the discriminant
-    # group; elimination on the half-Gram must give the same canonical list
+    # the blocks come from the determinant and the discriminant group;
+    # elimination on the half-Gram must give the same canonical list, at
+    # p = 2 also the same representative where 2-adic splittings differ
     pairs = 0
-    for kind, rank in _component_types(40):
+    for kind, rank in _component_types(64):
         half = tuple(tuple(Fraction(v, 2) for v in row) for row in component_gram(kind, rank))
-        for p in ODD_PRIMES:
+        for p in (2, *ODD_PRIMES) if rank <= 40 else (2,):
             assert component_blocks(kind, rank, p) == jordan_decompose(half, p), (kind, rank, p)
             pairs += 1
-    assert pairs == 960
+    assert pairs == 80 * 13 + 48
 
 
-def test_component_blocks_skip_elimination_at_odd_p(monkeypatch):
-    def refuse(mat, p):
-        raise AssertionError(f"jordan_decompose called at p = {p}")
+def test_component_blocks_skip_elimination(monkeypatch):
+    # no elimination and no Fraction half-Gram at any prime
+    def refuse(*args):
+        raise AssertionError(f"elimination work on {args}")
 
     monkeypatch.setattr(siegel, "jordan_decompose", refuse)
+    monkeypatch.setattr(siegel, "Fraction", refuse)
     for kind, rank in _component_types(40):
-        for p in ODD_PRIMES:
+        for p in (2, *ODD_PRIMES):
             assert component_blocks.__wrapped__(kind, rank, p) == component_blocks(kind, rank, p)
