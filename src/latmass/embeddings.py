@@ -10,25 +10,45 @@ left inside the target component.
 Codes.  The component types are numbered in canonical (rank, kind) order,
 and the recursion runs on systems written as the sorted tuple of their
 codes, one per copy: A1^2 D4 is (0, 0, 4).  The largest component is the
-last code, and a code's rank and root count are list lookups.  rep_count
-converts each RootSystem once, through `_CODES`, a cache keyed by name.
+last code, and a code's rank and root count are list lookups.  A system is
+also a packed multiplicity integer, whose 8-bit field c holds the count of
+code c: A1^2 D4 is 2 + (1 << 8*4).  rep_count converts each RootSystem
+once, through `_CODES`, a cache keyed by name that holds the codes and the
+packed counts; a target's packed capacities (below) are cached beside
+them in `_CAPACITY`.  Fields stay below 128 only while ranks do, so a
+system of rank 128 or more raises ValueError.
 
 Rows.  For each (source code, target code) pair the table `_ROWS` keeps
 one row per way of placing the source component in the target component:
-(weight, complement codes, rank change, root count change), built from
-`component_rows`.  Peeling a source component from one copy of a target
-component drops that copy from the target tuple and merges the complement
-in; the rank and root count of both sides are carried as integers, so a
-branch whose remaining source no longer fits is cut before its target is
-built.
+(weight, complement codes, rank change, root count change, key change),
+built from `component_rows`.  Peeling a source component from one copy of
+a target component drops that copy from the target tuple and merges the
+complement in; the rank and root count of both sides are carried as
+integers, so a branch whose remaining source no longer fits is cut before
+its target is built.  The key change is what the swap adds to the
+target's packed counts.
 
-Memo.  Sub-problems are memoised per sub-source: `_MEMO[sub][target]`, so
-one `_count` call looks its sub-source's row up once.  When the stored
-entries, summed over rows, or the code cache reach `_MEMO_CAP`, both are
-cleared.  The pair rep_count is asked for is not stored: callers ask for
-each pair once, in descending solve order, and every later sub-problem's
-source ranks below a system no earlier in that order, so the entry could
-never be hit.
+Capacities.  cap_c(X) is the largest number of mutually orthogonal copies
+of component type c in a system X.  It adds up over X's components, and
+for one component it is the best over the rows of c in it of one plus the
+capacity of the complement, since the other copies lie in the complement
+of the first (as in Dynkin's subsystem tables).  `_CAPS[x]` packs cap_c(x)
+for every c, so a system's capacities are a sum over its components.  If
+S embeds in T then T holds mult_S(c) orthogonal copies of each c, so
+rep_count returns 0 at once when some field of S's counts exceeds T's
+capacities.  The test is one subtraction: with every field's top (guard)
+bit set in T's capacities, a field that S exceeds borrows its guard bit.
+
+Memo.  Sub-problems are memoised per sub-source, keyed by the packed counts
+of the target: `_MEMO[sub][key]`, so one `_count` call looks its
+sub-source's row up once, and a branch's key is the parent's key plus the
+row's key change.  A target tuple is built and sorted only on a miss.  The
+rows hold only integers, so the cyclic garbage collector does not track
+them.  When the stored entries, summed over rows, or the code cache reach
+`_MEMO_CAP`, both are cleared.  The pair rep_count is asked for is not
+stored: callers ask for each pair once, in descending solve order, and
+every later sub-problem's source ranks below a system no earlier in that
+order, so the entry could never be hit.
 """
 
 from __future__ import annotations
@@ -37,7 +57,13 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import comb
 
-from .roots import RootSystem, _component_aut, _component_roots, _component_types
+from .roots import (
+    RootSystem,
+    _component_aut,
+    _component_roots,
+    _component_types,
+    normalize_component,
+)
 
 # Explicit counts for exceptional targets: (source kind, source rank,
 # target E rank) -> ((copies, complement parts), ...).
@@ -110,18 +136,28 @@ def component_rows(sk: str, sr: int, tk: str, tr: int) -> tuple:
 
 # The component types by code, in canonical order, so a system's sorted
 # codes list its components canonically: _CODE[kind, rank] is the code,
-# _RANK and _ROOTS give each code's rank and root count, and _ROWS[s][t]
-# holds the rows of source code s in target code t.  _grow extends them a
-# whole rank at a time, which keeps the codes in canonical order.
+# _RANK and _ROOTS give each code's rank and root count, _ROWS[s][t] holds
+# the rows of source code s in target code t, and _CAPS[x] is the packed
+# capacity vector of code x.  _grow extends them a whole rank at a time,
+# which keeps the codes in canonical order.
 _CODE: dict[tuple[str, int], int] = {}
 _RANK: list[int] = []
 _ROOTS: list[int] = []
 _ROWS: list[list[tuple]] = []
+_CAPS: list[int] = []
+
+# A packed vector keeps the value for code c in bits 8c to 8c + 7.  Counts
+# and capacities stay below 128 while ranks do, so bit 8c + 7 of every
+# field, set in _GUARD, is free to catch a borrow.
+_FIELD = 8
+_MAX_RANK = (1 << _FIELD - 1) - 1
+_GUARD = 0
 
 
 def _grow(max_rank: int) -> None:
-    """Number every component type of rank at most max_rank and fill in the
-    rows of every pair of codes."""
+    """Number every component type of rank at most max_rank, fill in the
+    rows of every pair of codes and the capacity vector of every code."""
+    global _GUARD
     old = len(_RANK)
     for kind, rank in _component_types(max_rank)[old:]:
         _CODE[kind, rank] = len(_RANK)
@@ -131,50 +167,78 @@ def _grow(max_rank: int) -> None:
     for s, (sk, sr) in enumerate(types):
         if s >= old:
             _ROWS.append([])
-        _ROWS[s] += [_code_rows(sk, sr, tk, tr) for tk, tr in types[len(_ROWS[s]) :]]
+        new = enumerate(types[len(_ROWS[s]) :], len(_ROWS[s]))
+        _ROWS[s] += [_code_rows(sk, sr, t, tk, tr) for t, (tk, tr) in new]
+    # only codes of lower rank fit in a new code, and no new code fits in
+    # an old one, so the old vectors stand; a complement ranks below its
+    # component, so its vectors are in place when the component's are made
+    for x in range(old, len(types)):
+        _CAPS.append(sum(_cap(c, x) << _FIELD * c for c in range(x + 1)))
+        _GUARD |= 1 << _FIELD * x + _FIELD - 1
 
 
-def _code_rows(sk: str, sr: int, tk: str, tr: int) -> tuple:
+def _code_rows(sk: str, sr: int, t: int, tk: str, tr: int) -> tuple:
     """component_rows ready for the recursion, one row per nonzero copy
-    count: (weight, complement, rank change, root count change).  The
-    weight is copies times |Aut| of the source component.  The complement
-    is the sorted codes of what is left, its degenerate indices (A0, A-1,
-    D0 to D3) normalized as from_parts does, and the changes are what
-    swapping the target component for it does to the target's rank and
-    root count."""
+    count: (weight, complement, rank change, root count change, key
+    change).  The weight is copies times |Aut| of the source component.
+    The complement is the sorted codes of what is left, its degenerate
+    indices (A0, A-1, D0 to D3) normalized by normalize_component, and the
+    changes are what swapping the target component, code t, for it does
+    to the target's rank, root count and packed counts."""
     aut = _component_aut(sk, sr)
     rows = []
     for copies, parts in component_rows(sk, sr, tk, tr):
         if copies:
-            rest = RootSystem.from_parts(parts)
+            complement = tuple(
+                sorted(_CODE[p] for kind, rank in parts for p in normalize_component(kind, rank))
+            )
             rows.append(
                 (
                     copies * aut,
-                    _codes(rest),
-                    rest.rank - tr,
-                    rest.root_count - _component_roots(tk, tr),
+                    complement,
+                    sum(_RANK[u] for u in complement) - tr,
+                    sum(_ROOTS[u] for u in complement) - _ROOTS[t],
+                    sum(1 << _FIELD * u for u in complement) - (1 << _FIELD * t),
                 )
             )
     return tuple(rows)
 
 
-_CODES: dict[str, tuple] = {}  # RootSystem name -> sorted codes
-_MEMO: dict[tuple, dict[tuple, int]] = {}  # sub-source -> target -> count
+def _cap(c: int, x: int) -> int:
+    """The largest number of mutually orthogonal copies of component c in
+    component x.  The copies besides a first lie in its complement, each
+    inside one of its components, so the count is the best over the rows
+    of one plus the complement's capacities, read off the vectors of its
+    codes, which rank below x."""
+    mask = (1 << _FIELD) - 1
+    return max(
+        (1 + sum(_CAPS[y] >> _FIELD * c & mask for y in row[1]) for row in _ROWS[c][x]),
+        default=0,
+    )
+
+
+_CODES: dict[str, tuple[tuple, int]] = {}  # RootSystem name -> codes, packed counts
+_CAPACITY: dict[str, int] = {}  # target RootSystem name -> packed capacities
+_MEMO: dict[tuple, dict[int, int]] = {}  # sub-source -> packed target -> count
 _MEMO_CAP = 1 << 20
 _stored = 0  # entries in _MEMO, summed over its rows
 
 
 def _clear() -> None:
-    """Empty the memo and the code cache together."""
+    """Empty the memo and the code and capacity caches together."""
     global _stored
     _MEMO.clear()
     _CODES.clear()
+    _CAPACITY.clear()
     _stored = 0
 
 
-def _codes(rs: RootSystem) -> tuple:
-    """The sorted codes of a system, one per copy of each component, added
-    to the cache; rep_count reads the cache itself first."""
+def _codes(rs: RootSystem) -> tuple[tuple, int]:
+    """A system's sorted codes, one per copy of each component, and its
+    packed counts, added to the cache; rep_count reads the cache itself
+    first."""
+    if rs.rank > _MAX_RANK:
+        raise ValueError(f"rep_count: {rs} has rank {rs.rank}, above {_MAX_RANK}")
     for kind, rank, _ in rs.components:
         if kind == "Z":
             raise ValueError(f"rep_count: {rs} has Z components, which have no roots")
@@ -182,27 +246,40 @@ def _codes(rs: RootSystem) -> tuple:
             _grow(rank)
     if len(_CODES) >= _MEMO_CAP:
         _clear()
-    codes = _CODES[rs.name] = tuple(_CODE[k, r] for k, r, m in rs.components for _ in range(m))
-    return codes
+    codes: list[int] = []
+    counts = 0
+    for kind, rank, mult in rs.components:
+        c = _CODE[kind, rank]
+        codes += [c] * mult
+        counts += mult << _FIELD * c
+    entry = _CODES[rs.name] = tuple(codes), counts
+    return entry
 
 
 def rep_count(source: RootSystem, target: RootSystem) -> int:
     """Number of inner product preserving maps of a simple system of the
-    source into the roots of the target."""
-    s = _CODES.get(source.name)
-    if s is None:
-        s = _codes(source)
-    t = _CODES.get(target.name)
-    if t is None:
-        t = _codes(target)
+    source into the roots of the target.  Both must have rank at most
+    127, so that a packed count or capacity fits its field; a larger rank
+    raises ValueError."""
+    s, s_counts = _CODES.get(source.name) or _codes(source)
+    t, t_counts = _CODES.get(target.name) or _codes(target)
     if not s:
         return 1
     if source.rank > target.rank or source.root_count > target.root_count:
         return 0
-    return _count(s, t, source.rank, source.root_count, target.rank, target.root_count)
+    # the target must hold as many orthogonal copies of each component type
+    # as the source has: a field of the capacities that the counts exceed
+    # borrows its guard bit.  Capacities are cached only for a target whose
+    # codes are cached, and _clear empties both, so the cap bounds both.
+    caps = _CAPACITY.get(target.name)
+    if caps is None:
+        caps = _CAPACITY[target.name] = sum(_CAPS[c] for c in t)
+    if ((caps | _GUARD) - s_counts) & _GUARD != _GUARD:
+        return 0
+    return _count(s, t, t_counts, source.rank, source.root_count, target.rank, target.root_count)
 
 
-def _store(sub: tuple, target: tuple, n: int) -> dict:
+def _store(sub: tuple, key: int, n: int) -> dict:
     """Memoise one sub-problem and return its sub-source's row."""
     global _stored
     if _stored >= _MEMO_CAP:
@@ -210,16 +287,23 @@ def _store(sub: tuple, target: tuple, n: int) -> dict:
     row = _MEMO.get(sub)
     if row is None:
         row = _MEMO[sub] = {}
-    row[target] = n
+    row[key] = n
     _stored += 1
     return row
 
 
 def _count(
-    source: tuple, target: tuple, s_rank: int, s_roots: int, t_rank: int, t_roots: int
+    source: tuple,
+    target: tuple,
+    key: int,
+    s_rank: int,
+    s_roots: int,
+    t_rank: int,
+    t_roots: int,
 ) -> int:
     """rep_count on nonempty sorted code tuples, whose ranks and root counts
-    are given and fit: the source's are at most the target's."""
+    are given and fit: the source's are at most the target's.  key is the
+    target's packed counts."""
     s = source[-1]
     sub = source[:-1]
     rows = _ROWS[s]
@@ -238,15 +322,18 @@ def _count(
     while i < n:
         t = target[i]
         j = bisect_right(target, t, i)
-        for weight, complement, d_rank, d_roots in rows[t]:
+        for weight, complement, d_rank, d_roots, d_key in rows[t]:
             if sub_rank <= t_rank + d_rank and sub_roots <= t_roots + d_roots:
-                new = target[:i] + target[i + 1 :]
-                if complement:
-                    new = tuple(sorted(new + complement))
-                c = memo.get(new)
+                new_key = key + d_key
+                c = memo.get(new_key)
                 if c is None:
-                    c = _count(sub, new, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots)
-                    memo = _store(sub, new, c)
+                    new = target[:i] + target[i + 1 :]
+                    if complement:
+                        new = tuple(sorted(new + complement))
+                    c = _count(
+                        sub, new, new_key, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots
+                    )
+                    memo = _store(sub, new_key, c)
                 total += (j - i) * weight * c
         i = j
     return total

@@ -316,6 +316,8 @@ def test_config_errors_exit_2(capsys):
         code, _, err = run(capsys, "coeff", form, "--dim", dim)
         assert code == 2 and "has a Z component" in err, (form, err)
     assert run(capsys, "emb", "A1^0", "E8")[0] == 2
+    # packed embedding counts hold ranks up to 127
+    assert run(capsys, "emb", "A1^128", "A1")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(2 1; 1 1)", "--dim", "8")[0] == 2
     assert run(capsys, "siegel", "--p", "4", "--gram", "(4)")[0] == 2

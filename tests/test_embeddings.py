@@ -1,8 +1,10 @@
 """Embedding counts against a brute-force root enumeration oracle."""
 
+import gc
 import hashlib
 import random
 
+from conftest import run_python
 from latmass import embeddings
 from latmass.embeddings import component_rows, rep_count
 from latmass.roots import RootSystem, component_roots, enumerate_systems, system_gram
@@ -154,8 +156,9 @@ def test_code_table():
         ).components
     ]
     # sorting codes gives canonical order: the codes of that order ascend
-    codes = embeddings._codes(RootSystem.from_parts(types))
-    assert codes == tuple(range(len(types)))
+    # (the system itself, of rank 4,175, is beyond what rep_count takes)
+    embeddings._grow(64)
+    assert [embeddings._CODE[t] for t in types] == list(range(len(types)))
     assert list(embeddings._CODE)[: len(types)] == types
     for s, (sk, sr) in enumerate(types):
         aut = parse(f"{sk}{sr}").aut_order
@@ -168,27 +171,95 @@ def test_code_table():
                 for copies, parts in component_rows(sk, sr, tk, tr)
                 if copies
             ]
-            got = [(w, RootSystem.from_parts(types[c] for c in comp)) for w, comp, _, _ in rows]
+            got = [(w, RootSystem.from_parts(types[c] for c in comp)) for w, comp, *_ in rows]
             assert got == want, (sk, sr, tk, tr)
             target = parse(f"{tk}{tr}")
-            for (_, rest), (_, _, d_rank, d_roots) in zip(want, rows):
+            for (_, rest), (_, comp, d_rank, d_roots, d_key) in zip(want, rows):
+                assert comp == tuple(sorted(comp))
                 assert (d_rank, d_roots) == (
                     rest.rank - target.rank,
                     rest.root_count - target.root_count,
                 )
+                assert d_key == sum(1 << 8 * c for c in comp) - (1 << 8 * t)
+
+
+def test_capacity_matches_recursion():
+    # _cap(c, x) is the largest k such that c^k embeds in x, as the
+    # recursion (which never applies the capacity test) counts it
+    embeddings._grow(24)
+    rank, roots = embeddings._RANK, embeddings._ROOTS
+    codes = [c for c in range(len(rank)) if rank[c] <= 24]
+    pairs = 0
+    for x in codes:
+        for c in codes[: x + 1]:
+            k = 0
+            while (k + 1) * rank[c] <= rank[x] and (k + 1) * roots[c] <= roots[x]:
+                fit = ((c,) * (k + 1), (x,), 1 << 8 * x, rank[c] * (k + 1), roots[c] * (k + 1))
+                if not embeddings._count(*fit, rank[x], roots[x]):
+                    break
+                k += 1
+            assert embeddings._cap(c, x) == k, (c, x)
+            assert embeddings._CAPS[x] >> 8 * c & 255 == k, (c, x)
+            pairs += 1
+    assert pairs == 1176
+    # the capacity vector of a code has no field above its own
+    assert all(embeddings._CAPS[x] >> 8 * (x + 1) == 0 for x in codes)
+
+
+def test_capacity_rejects_no_embedding(table16, table24):
+    # every pair the dims 16 and 24 solves ask for that passes the rank and
+    # root count cut but fails the capacity test counts 0 in the recursion
+    guard = embeddings._GUARD
+    for table in (table16, table24[0]):
+        nonzero, rejected = [], 0
+        for rs in reversed(enumerate_systems(table.dim, dim=table.dim)):
+            s, s_counts = embeddings._codes(rs)
+            for t_rs, t, t_counts, t_caps in nonzero:
+                if rs.rank > t_rs.rank or rs.root_count > t_rs.root_count:
+                    continue
+                if ((t_caps | guard) - s_counts) & guard != guard:
+                    args = (rs.rank, rs.root_count, t_rs.rank, t_rs.root_count)
+                    assert embeddings._count(s, t, t_counts, *args) == 0, (rs, t_rs)
+                    assert rep_count(rs, t_rs) == 0
+                    rejected += 1
+            if table.mass(rs):
+                nonzero.append((rs, s, s_counts, sum(embeddings._CAPS[c] for c in s)))
+        assert rejected > 500, table.dim
+
+
+def test_rank_limit():
+    # packed counts and capacities hold values up to 127 per field
+    a127 = parse("A1^127")
+    assert rep_count(a127, a127) == a127.aut_order
+    script = (
+        "from latmass.embeddings import rep_count\n"
+        "from latmass.roots import RootSystem\n"
+        "big, a1 = RootSystem.parse('A1^128'), RootSystem.parse('A1')\n"
+        "for call in (lambda: rep_count(big, big), lambda: rep_count(a1, big)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        assert 'A1^128' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit('no ValueError at rank 128')\n"
+    )
+    for flags in ((), ("-O",)):
+        result = run_python(*flags, "-c", script)
+        assert result.returncode == 0, (flags, result.stderr)
 
 
 def fresh_memo(monkeypatch, cap=None):
     """An empty memo and code cache for this test, restored after it."""
     monkeypatch.setattr(embeddings, "_MEMO", {})
     monkeypatch.setattr(embeddings, "_CODES", {})
+    monkeypatch.setattr(embeddings, "_CAPACITY", {})
     monkeypatch.setattr(embeddings, "_stored", 0)
     if cap is not None:
         monkeypatch.setattr(embeddings, "_MEMO_CAP", cap)
 
 
 def memo_entries():
-    """The memo as {(sub-source codes, target codes): count}."""
+    """The memo as {(sub-source codes, packed target counts): count}."""
     return {(sub, t): n for sub, row in embeddings._MEMO.items() for t, n in row.items()}
 
 
@@ -196,20 +267,30 @@ def test_memo_cap_clears(monkeypatch):
     pairs = dim16_pairs()
     want = [rep_count(s, t) for s, t in pairs]
     fresh_memo(monkeypatch, cap=16)
-    got, sizes = [], []
+    got, sizes, targets = [], [], 0
     for s, t in pairs:
         got.append(rep_count(s, t))
         sizes.append((len(memo_entries()), embeddings._stored, len(embeddings._CODES)))
+        targets = max(targets, len(embeddings._CAPACITY))
+        # a target's capacities are cached only beside its codes, so the
+        # cap bounds and clears them with the codes
+        assert embeddings._CAPACITY.keys() <= embeddings._CODES.keys()
+        for name, caps in embeddings._CAPACITY.items():
+            codes, counts = embeddings._CODES[name]
+            assert counts == sum(1 << 8 * c for c in codes)
+            assert caps == sum(embeddings._CAPS[c] for c in codes)
     assert got == want
     # the cap bounds the stored entries, summed over rows, and the codes
     assert all(entries == stored <= 16 and codes <= 16 for entries, stored, codes in sizes)
     assert max(entries for entries, _, _ in sizes) > 0
+    assert targets == 2  # D16 and E8^2
     assert len({s for s, _ in pairs}) > 16  # so the code cache was cleared
 
 
 def test_memo_holds_only_sub_problems(monkeypatch):
     # the pair asked for is never asked again, so only the pairs the
-    # recursion peels down to are stored: A2 from E8 leaves E6, then A1 A5
+    # recursion peels down to are stored, each target as its packed
+    # counts: A2 from E8 leaves E6, then A1 A5
     fresh_memo(monkeypatch)
     source, target = parse("A1^2 A2"), parse("E8")
     assert rep_count(source, target) > 0
@@ -217,10 +298,20 @@ def test_memo_holds_only_sub_problems(monkeypatch):
     codes = embeddings._codes
 
     def key(s, t):
-        return codes(parse(s)), codes(parse(t))
+        return codes(parse(s))[0], codes(parse(t))[1]
 
-    assert (codes(source), codes(target)) not in stored
+    assert key(str(source), str(target)) not in stored
     assert stored == {key("A1^2", "E6"): 2160, key("A1", "A5"): 30}
     assert embeddings._stored == 2
     assert brute_rep(parse("A1^2"), parse("E6")) == 2160
     assert brute_rep(parse("A1"), parse("A5")) == 30
+
+
+def test_memo_rows_untracked_by_gc(monkeypatch):
+    # rows of int keys and int counts hold no container, so the cyclic
+    # collector does not track them
+    fresh_memo(monkeypatch)
+    for s, t in dim16_pairs():
+        rep_count(s, t)
+    assert len(embeddings._MEMO) > 100
+    assert not any(gc.is_tracked(row) for row in embeddings._MEMO.values())
