@@ -13,10 +13,10 @@ codes, one per copy: A1^2 D4 is (0, 0, 4).  The largest component is the
 last code, and a code's rank and root count are list lookups.  A system is
 also a packed multiplicity integer, whose 8-bit field c holds the count of
 code c: A1^2 D4 is 2 + (1 << 8*4).  rep_count converts each RootSystem
-once, through `_CODES`, a cache keyed by name that holds the codes and the
-packed counts; a target's packed capacities (below) are cached beside
-them in `_CAPACITY`.  Fields stay below 128 only while ranks do, so a
-system of rank 128 or more raises ValueError.
+once, through `_CODES`, a cache keyed by name whose one entry per system
+holds its codes, its packed counts and its packed capacities (below),
+all made in one pass over its components.  Fields stay below 128 only
+while ranks do, so a system of rank 128 or more raises ValueError.
 
 Rows.  For each (source code, target code) pair the table `_ROWS` keeps
 one row per way of placing the source component in the target component:
@@ -44,17 +44,16 @@ of the target: `_MEMO[sub][key]`, so one `_count` call looks its
 sub-source's row up once, and a branch's key is the parent's key plus the
 row's key change.  A target tuple is built and sorted only on a miss.  The
 rows hold only integers, so the cyclic garbage collector does not track
-them.  When the stored entries, summed over rows, or the code cache reach
-`_MEMO_CAP`, both are cleared.  The pair rep_count is asked for is not
-stored: callers ask for each pair once, in descending solve order, and
-every later sub-problem's source ranks below a system no earlier in that
-order, so the entry could never be hit.
+them.  When the stored entries, summed over rows, or the code cache's
+entries reach `_MEMO_CAP`, both are cleared.  The pair rep_count is asked
+for is not stored: callers ask for each pair once, in descending solve
+order, and every later sub-problem's source ranks below a system no
+earlier in that order, so the entry could never be hit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from math import comb
 
 from .roots import (
@@ -107,7 +106,6 @@ _E_TABLE: dict[tuple[str, int, int], tuple] = {
 }
 
 
-@lru_cache(maxsize=None)
 def component_rows(sk: str, sr: int, tk: str, tr: int) -> tuple:
     """Subsystem copies of one component inside one target component,
     each with the complement it leaves."""
@@ -217,42 +215,41 @@ def _cap(c: int, x: int) -> int:
     )
 
 
-_CODES: dict[str, tuple[tuple, int]] = {}  # RootSystem name -> codes, packed counts
-_CAPACITY: dict[str, int] = {}  # target RootSystem name -> packed capacities
+_CODES: dict[str, tuple[tuple, int, int]] = {}  # RootSystem name -> codes, counts, capacities
 _MEMO: dict[tuple, dict[int, int]] = {}  # sub-source -> packed target -> count
 _MEMO_CAP = 1 << 20
 _stored = 0  # entries in _MEMO, summed over its rows
 
 
 def _clear() -> None:
-    """Empty the memo and the code and capacity caches together."""
+    """Empty the memo and the code cache together."""
     global _stored
     _MEMO.clear()
     _CODES.clear()
-    _CAPACITY.clear()
     _stored = 0
 
 
-def _codes(rs: RootSystem) -> tuple[tuple, int]:
-    """A system's sorted codes, one per copy of each component, and its
-    packed counts, added to the cache; rep_count reads the cache itself
-    first."""
+def _codes(rs: RootSystem) -> tuple[tuple, int, int]:
+    """A system's sorted codes, one per copy of each component, its packed
+    counts and its packed capacities, added to the cache; rep_count reads
+    the cache itself first.  A type new to the table grows it, which keeps
+    the codes and capacities of the types before it."""
     if rs.rank > _MAX_RANK:
         raise ValueError(f"rep_count: {rs} has rank {rs.rank}, above {_MAX_RANK}")
-    for kind, rank, _ in rs.components:
+    if len(_CODES) >= _MEMO_CAP:
+        _clear()
+    codes: list[int] = []
+    counts = caps = 0
+    for kind, rank, mult in rs.components:
         if kind == "Z":
             raise ValueError(f"rep_count: {rs} has Z components, which have no roots")
         if (kind, rank) not in _CODE:
             _grow(rank)
-    if len(_CODES) >= _MEMO_CAP:
-        _clear()
-    codes: list[int] = []
-    counts = 0
-    for kind, rank, mult in rs.components:
         c = _CODE[kind, rank]
         codes += [c] * mult
         counts += mult << _FIELD * c
-    entry = _CODES[rs.name] = tuple(codes), counts
+        caps += mult * _CAPS[c]
+    entry = _CODES[rs.name] = tuple(codes), counts, caps
     return entry
 
 
@@ -261,20 +258,16 @@ def rep_count(source: RootSystem, target: RootSystem) -> int:
     source into the roots of the target.  Both must have rank at most
     127, so that a packed count or capacity fits its field; a larger rank
     raises ValueError."""
-    s, s_counts = _CODES.get(source.name) or _codes(source)
-    t, t_counts = _CODES.get(target.name) or _codes(target)
+    s, s_counts, _ = _CODES.get(source.name) or _codes(source)
+    t, t_counts, t_caps = _CODES.get(target.name) or _codes(target)
     if not s:
         return 1
     if source.rank > target.rank or source.root_count > target.root_count:
         return 0
     # the target must hold as many orthogonal copies of each component type
     # as the source has: a field of the capacities that the counts exceed
-    # borrows its guard bit.  Capacities are cached only for a target whose
-    # codes are cached, and _clear empties both, so the cap bounds both.
-    caps = _CAPACITY.get(target.name)
-    if caps is None:
-        caps = _CAPACITY[target.name] = sum(_CAPS[c] for c in t)
-    if ((caps | _GUARD) - s_counts) & _GUARD != _GUARD:
+    # borrows its guard bit
+    if ((t_caps | _GUARD) - s_counts) & _GUARD != _GUARD:
         return 0
     return _count(s, t, t_counts, source.rank, source.root_count, target.rank, target.root_count)
 

@@ -184,9 +184,10 @@ def _no_root_closed_forms(table: MassTable) -> dict[int, Fraction]:
         return RootSystem.from_parts([(kind, rank, 1)])
 
     for j in range(4, 10):
-        if base - j in out:
-            source = pure("D", j)
-            out[base - j] += table.mass(source) * _consumed_weight("D", j)
+        # only the last row, dimension drop j, empties D_j; from D5 on the
+        # other one (drop 4) leaves D_(j-4), rootless only for D5, below
+        count, drop, _ = _case2_rows("D", j)[-1]
+        out[base - j] += table.mass(pure("D", j)) * count * _orbit_factor(drop - 1)
     for kind, rank, n in [("E", 6, base - 5), ("E", 8, base - 8)]:
         out[n] += table.mass(pure(kind, rank)) * _consumed_weight(kind, rank)
     for rank in (3, 4):

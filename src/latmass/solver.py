@@ -130,6 +130,9 @@ def _order_digest(names) -> str:
 
 
 def _coefficient_job(rs, dim):
+    # the pool pickles a job by its module-level name, and the worker then
+    # reads this module's eisenstein_coefficient, which a patched global (a
+    # tracer's wrapper) replaces; a closure cannot be pickled
     return eisenstein_coefficient(rs, dim)
 
 

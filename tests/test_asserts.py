@@ -1,6 +1,6 @@
 """No module of the package has an `assert` statement, an import from
-outside the standard library, or a top-level function or class that nothing
-uses.
+outside the standard library, or a top-level function, class or global that
+nothing uses.
 
 An assert vanishes under python -O, so a check that guards a result is a
 raise instead.  The package has no runtime dependencies.
@@ -44,21 +44,30 @@ def test_standard_library_imports_only():
 
 
 def top_level_definitions(path: Path) -> list[str]:
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node.name for node in ast.parse(path.read_text()).body if isinstance(node, kinds)]
+    """The functions, classes and assigned globals of a module, dunder
+    names such as __version__ aside."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
 def referenced_names(path: Path) -> set[str]:
-    """Names a module reads, imports by name or spells as a string (the
-    benchmark's tracer patches functions named in string constants)."""
+    """Names a module reads, as a name or an attribute, or spells as a
+    string (the benchmark's tracer patches functions named in string
+    constants, and tests patch globals by name).  A store is no use, so a
+    global that is only assigned counts as unreferenced."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             names.add(node.value)
     return names

@@ -213,7 +213,7 @@ def test_capacity_rejects_no_embedding(table16, table24):
     for table in (table16, table24[0]):
         nonzero, rejected = [], 0
         for rs in reversed(enumerate_systems(table.dim, dim=table.dim)):
-            s, s_counts = embeddings._codes(rs)
+            s, s_counts, s_caps = embeddings._codes(rs)
             for t_rs, t, t_counts, t_caps in nonzero:
                 if rs.rank > t_rs.rank or rs.root_count > t_rs.root_count:
                     continue
@@ -223,8 +223,32 @@ def test_capacity_rejects_no_embedding(table16, table24):
                     assert rep_count(rs, t_rs) == 0
                     rejected += 1
             if table.mass(rs):
-                nonzero.append((rs, s, s_counts, sum(embeddings._CAPS[c] for c in s)))
+                nonzero.append((rs, s, s_counts, s_caps))
         assert rejected > 500, table.dim
+
+
+def test_codes_while_the_table_grows(monkeypatch):
+    # _codes reads each component's code and capacities in the same pass
+    # that grows the table for a type new to it, so the codes and
+    # capacities made before a growth must stand: A1, E8 and D12 each grow
+    # an empty table, and the entry equals that of a fully grown one
+    rs = parse("A1 E8 D12")
+    embeddings._grow(12)
+    full = embeddings._codes(rs)
+    full_rows, full_caps = embeddings._ROWS, embeddings._CAPS
+    fresh_memo(monkeypatch)
+    for name, empty in (("_CODE", {}), ("_RANK", []), ("_ROOTS", []), ("_ROWS", []), ("_CAPS", [])):
+        monkeypatch.setattr(embeddings, name, empty)
+    monkeypatch.setattr(embeddings, "_GUARD", 0)
+    grow, grown = embeddings._grow, []
+    monkeypatch.setattr(embeddings, "_grow", lambda rank: grow(rank) or grown.append(rank))
+    assert embeddings._codes(rs) == full
+    assert grown == [1, 8, 12]
+    n = len(embeddings._CAPS)
+    assert embeddings._CAPS == full_caps[:n]
+    assert embeddings._ROWS == [row[:n] for row in full_rows[:n]]
+    assert embeddings._GUARD == sum(1 << 8 * c + 7 for c in range(n))
+    assert rep_count(rs, rs) == rs.aut_order
 
 
 def test_rank_limit():
@@ -252,7 +276,6 @@ def fresh_memo(monkeypatch, cap=None):
     """An empty memo and code cache for this test, restored after it."""
     monkeypatch.setattr(embeddings, "_MEMO", {})
     monkeypatch.setattr(embeddings, "_CODES", {})
-    monkeypatch.setattr(embeddings, "_CAPACITY", {})
     monkeypatch.setattr(embeddings, "_stored", 0)
     if cap is not None:
         monkeypatch.setattr(embeddings, "_MEMO_CAP", cap)
@@ -267,23 +290,19 @@ def test_memo_cap_clears(monkeypatch):
     pairs = dim16_pairs()
     want = [rep_count(s, t) for s, t in pairs]
     fresh_memo(monkeypatch, cap=16)
-    got, sizes, targets = [], [], 0
+    got, sizes = [], []
     for s, t in pairs:
         got.append(rep_count(s, t))
         sizes.append((len(memo_entries()), embeddings._stored, len(embeddings._CODES)))
-        targets = max(targets, len(embeddings._CAPACITY))
-        # a target's capacities are cached only beside its codes, so the
-        # cap bounds and clears them with the codes
-        assert embeddings._CAPACITY.keys() <= embeddings._CODES.keys()
-        for name, caps in embeddings._CAPACITY.items():
-            codes, counts = embeddings._CODES[name]
+        # a cached entry holds its system's counts and capacities beside its
+        # codes, so the cap bounds and clears all three at once
+        for codes, counts, caps in embeddings._CODES.values():
             assert counts == sum(1 << 8 * c for c in codes)
             assert caps == sum(embeddings._CAPS[c] for c in codes)
     assert got == want
     # the cap bounds the stored entries, summed over rows, and the codes
     assert all(entries == stored <= 16 and codes <= 16 for entries, stored, codes in sizes)
     assert max(entries for entries, _, _ in sizes) > 0
-    assert targets == 2  # D16 and E8^2
     assert len({s for s, _ in pairs}) > 16  # so the code cache was cleared
 
 

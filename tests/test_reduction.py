@@ -126,6 +126,21 @@ def test_dim24_no_root_buckets(table24):
     assert all(v == 0 for v in rootless.values())
 
 
+def test_no_root_closed_forms_one_source_at_a_time():
+    # each base system a single step can consume, alone in a table: the
+    # closed forms must equal the rootless buckets of the full reduction
+    # (dims 8 to 24 have no pure D5..D9 mass, so the solved tables cannot
+    # show this)
+    sources = ["D4", "D5", "D6", "D7", "D8", "D9", "E6", "E8", "A3", "A4", "A1^2", "A1 A2", "A2^2"]
+    for base in (24, 32):
+        for name in sources:
+            table = MassTable(base, {R(name): Fraction(1)})
+            reduced = reduce_masses(table)
+            want = {n: reduced.no_root_mass(n) for n in range(base - 9, base - 1)}
+            assert any(want.values()), (base, name)
+            assert no_root_masses(table) == want, (base, name)
+
+
 def test_dim24_even_sub_tables(table24, table16):
     # consuming the E8 factor of R + E8 recovers the dim-16 even masses
     table, _ = table24
