@@ -26,7 +26,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .embeddings import rep_count
-from .exact import det, factorize
+from .exact import factorize
 from .padic import jordan_decompose
 from .reduction import class_lower_bound, even_class_bound, reduce_masses
 from .roots import EMPTY, RootSystem, enumerate_systems
@@ -106,10 +106,16 @@ def _parse_gram(text: str, even: bool = True):
         raise UsageError("Gram matrix must be symmetric")
     if even and any(gram[i][i] % 2 for i in range(n)):
         raise UsageError("Gram matrix must be even (even diagonal)")
-    # positive definite: all leading principal minors positive
-    for k in range(1, n + 1):
-        if det([row[:k] for row in gram[:k]]) <= 0:
+    # positive definite: all leading principal minors positive, that is, only
+    # positive pivots (ratios of consecutive minors) without row exchanges
+    a = [[Fraction(v) for v in row] for row in gram]
+    for k, pivot in enumerate(a):
+        if pivot[k] <= 0:
             raise UsageError("Gram matrix must be positive definite")
+        for row in a[k + 1:]:
+            if row[k]:
+                f = row[k] / pivot[k]
+                row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
     return gram
 
 
@@ -261,10 +267,9 @@ def cmd_emb(args) -> None:
 def cmd_siegel(args) -> None:
     if args.p < 2 or factorize(args.p) != {args.p: 1}:
         raise UsageError(f"--p must be prime, got {args.p}")
-    # the matrix is the series argument itself, not an even lattice Gram
-    gram = _parse_gram(args.gram, even=False)
-    mat = tuple(tuple(Fraction(v) for v in row) for row in gram)
-    blocks = jordan_decompose(mat, args.p)
+    # the matrix is the series argument itself, not an even lattice Gram;
+    # its integer entries go straight to the elimination
+    blocks = jordan_decompose(_parse_gram(args.gram, even=False), args.p)
     poly = f_polynomial(blocks, args.p)
     value = "" if args.x is None else str(f_value(blocks, args.p, _parse_rational(args.x)))
     _emit(

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import compress
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -182,29 +181,25 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
     """Jordan block list of a nondegenerate half-integral matrix over Z_p.
 
     Elimination over nonzero entries only: rows[i] maps j to b_ij != 0 (at
-    (i, j) and (j, i)), and nu[i][j] caches the weighted valuation v(b_ij)
-    + [p == 2 and i != j], set with the entry and pushed onto a heap in
-    pivot order: least nu, then the first diagonal entry in index order,
-    else the first off-diagonal pair, except that at p = 2 the pair wins
-    whenever it reaches the minimum.  2-adic splittings are not unique, so
-    the order is part of the output.  Heap items of changed entries are
-    skipped."""
+    (i, j) and (j, i)), and keys[i, j] (i <= j) is its pivot key: weighted
+    valuation v(b_ij) + [p == 2 and i != j], then diagonal first at odd p
+    and pair first at p = 2, then the indices.  The least key is the pivot:
+    a diagonal unit, or else the 2x2 block on (i, j).  2-adic splittings
+    are not unique, so the order is part of the output."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("the matrix is not square")
     two = p == 2
     rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    nu: list[dict[int, int]] = [{} for _ in range(n)]
-    heap: list[tuple[int, bool, int, int]] = []
+    keys: dict[tuple[int, int], tuple[int, bool, int, int]] = {}
 
     def put(i, j, x):
         if x:
             rows[i][j] = rows[j][i] = x
-            v = nu[i][j] = nu[j][i] = _split(x, p)[0] + (two and i != j)
-            heappush(heap, (v, (i == j) == two, min(i, j), max(i, j)))
+            keys[i, j] = (_split(x, p)[0] + (two and i != j), (i == j) == two, i, j)
         else:
-            del rows[i][j], nu[i][j]
-            rows[j].pop(i, None), nu[j].pop(i, None)
+            del rows[i][j], keys[i, j]
+            rows[j].pop(i, None)
 
     for i, row in enumerate(mat):
         # each nonzero entry against its mirror: that covers zero entries too
@@ -214,18 +209,45 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
                 raise ValueError("the matrix is not symmetric")
             if j >= i:
                 put(i, j, x if isinstance(x, Fraction) else Fraction(x))
-                if nu[i][j] < 0:
+                if keys[i, j][0] < 0:
                     raise ValueError(f"entry {x} at ({i}, {j}) is not {p}-half-integral")
 
-    def eliminate(piv, coef):
-        """Schur complement of the pivot rows piv; coef[l] lists the entries
-        of M^-1 b_(piv, l), M the pivot block, for each l they touch."""
+    raw: list[Block] = []
+    while keys:
+        e, _, i, j = min(keys.values())
+        ri, rj = rows[i], rows[j]
+        if i == j:
+            # the unit's residue num * den: exact mod 8 at p = 2, and with
+            # the unit's Legendre symbol at odd p, which is all merging reads
+            b = ri[i]
+            raw.append(("u", e, _split(b, p)[1] % (8 if two else p)))
+            coef = {l: (x / b,) for l, x in ri.items() if l != i}
+        else:
+            # b_ij has the block's least valuation, so v(det) = 2 v(b_ij);
+            # the determinant's class tells H from Y at p = 2, and at odd p
+            # the block is two units of scale e with that class
+            bii, bjj, bij = ri.get(i, 0), rj.get(j, 0), ri[j]
+            det = bii * bjj - bij * bij
+            v, w = _split(det, p)
+            if v != 2 * (e - two):
+                raise ArithmeticError(f"2x2 block of scale {e} has determinant valuation {v}")
+            if two and w % 8 not in (3, 7):
+                raise ArithmeticError(f"2x2 block of scale {e} has determinant class {w % 8} mod 8")
+            raw += [("h" if w % 8 == 7 else "y", e, 0)] if two else [("u", e, 1), ("u", e, w % p)]
+            coef = {}
+            for l in (ri.keys() | rj.keys()) - {i, j}:
+                bil, bjl = ri.get(l, 0), rj.get(l, 0)
+                coef[l] = ((bjj * bil - bij * bjl) / det, (bii * bjl - bij * bil) / det)
+        # Schur complement of the pivot rows; coef[l] lists the entries of
+        # M^-1 b_(piv, l), M the pivot block, for each l they touch
+        piv = (i,) if i == j else (i, j)
         cols = [rows[q] for q in piv]
         for q, col in zip(piv, cols):
             for k in col:
+                keys.pop((q, k) if q < k else (k, q), None)
                 if k not in piv:
-                    del rows[k][q], nu[k][q]
-            rows[q], nu[q] = {}, {}
+                    del rows[k][q]
+            rows[q] = {}
         hit = sorted(coef)
         for a, k in enumerate(hit):
             bk = [col.get(k) for col in cols]
@@ -237,42 +259,6 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
                         t += x * y
                 if t:
                     put(k, l, rk.get(l, 0) - t)
-
-    raw: list[Block] = []
-    while heap:
-        e, _, i, j = heappop(heap)
-        if nu[i].get(j) != e:
-            continue
-        ri, rj = rows[i], rows[j]
-        if two and i != j:
-            # an even 2x2 block; scale from the weighted minimum
-            bii, bjj, bij = ri.get(i, 0), rj.get(j, 0), ri[j]
-            det = bii * bjj - bij * bij
-            v, w = _split(det, 2)
-            if v != 2 * e - 2:
-                raise ArithmeticError(f"2x2 block of scale {e} has determinant valuation {v}")
-            if w % 8 not in (3, 7):
-                raise ArithmeticError(f"2x2 block of scale {e} has determinant class {w % 8} mod 8")
-            raw.append(("h" if w % 8 == 7 else "y", e, 0))
-            coef = {}
-            for l in (ri.keys() | rj.keys()) - {i, j}:
-                bil, bjl = ri.get(l, 0), rj.get(l, 0)
-                coef[l] = ((bjj * bil - bij * bjl) / det, (bii * bjl - bij * bil) / det)
-            eliminate((i, j), coef)
-            continue
-        if i != j:
-            # odd p: add row and column j to i, making a diagonal entry of
-            # minimal valuation (no cancellation: b_ij is the unique minimum)
-            new = {k: ri.get(k, 0) + rj.get(k, 0) for k in ri.keys() | rj.keys()}
-            new[i] += new[j]
-            for k, x in new.items():
-                put(i, k, x)
-        # the unit's residue num * den: exact mod 8 at p = 2, and with the
-        # unit's Legendre symbol at odd p, which is all merging reads
-        piv = ri[i]
-        e, w = _split(piv, p)
-        raw.append(("u", e, w % (8 if two else p)))
-        eliminate((i,), {l: (x / piv,) for l, x in ri.items() if l != i})
     if len(raw) + sum(kind != "u" for kind, _, _ in raw) < n:
         raise ValueError("the matrix is degenerate")
     return merge_blocks([raw], p)

@@ -320,6 +320,8 @@ def test_config_errors_exit_2(capsys):
     assert run(capsys, "emb", "A1^128", "A1")[0] == 2
     assert run(capsys, "coeff", "(3)", "--dim", "8")[0] == 2
     assert run(capsys, "coeff", "(2 1; 1 1)", "--dim", "8")[0] == 2
+    # leading minors 2, 3, -2: only the last pivot is negative
+    assert run(capsys, "siegel", "--p", "3", "--gram", "[[2,1,0],[1,2,2],[0,2,2]]")[0] == 2
     assert run(capsys, "siegel", "--p", "4", "--gram", "(4)")[0] == 2
     assert run(capsys, "siegel", "--p", "9", "--gram", "(4)")[0] == 2
     assert run(capsys, "siegel", "--p", "1", "--gram", "(4)")[0] == 2

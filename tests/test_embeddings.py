@@ -14,7 +14,9 @@ parse = RootSystem.parse
 
 
 def brute_rep(source: RootSystem, target: RootSystem) -> int:
-    """Count simple-system maps by explicit backtracking over target roots."""
+    """Count simple-system maps by explicit backtracking over target roots,
+    on int bitmasks of root indices; the last simple root's candidates are
+    counted, not visited."""
     dim = target.rank
     troots = []
     at = 0
@@ -24,34 +26,35 @@ def brute_rep(source: RootSystem, target: RootSystem) -> int:
                 troots.append((0,) * at + v + (0,) * (dim - at - rank))
             at += rank
     gram = system_gram(target)
-    # by_product[a][t]: the roots whose inner product with root a is t
+    # by_product[a][t]: the mask of roots whose inner product with root a is t
     by_product = []
     for u in troots:
         gu = tuple(sum(gram[i][j] * u[i] for i in range(dim)) for j in range(dim))
         groups = {}
         for b, v in enumerate(troots):
-            groups.setdefault(sum(gu[j] * v[j] for j in range(dim)), set()).add(b)
+            t = sum(gu[j] * v[j] for j in range(dim))
+            groups[t] = groups.get(t, 0) | 1 << b
         by_product.append(groups)
     sgram = system_gram(source)
     r = source.rank
-    count = 0
     chosen = []
 
     def extend(i):
-        nonlocal count
-        if i == r:
-            count += 1
-            return
-        candidates = set(range(len(troots)))
+        candidates = (1 << len(troots)) - 1
         for j in range(i):
-            candidates &= by_product[chosen[j]].get(sgram[j][i], set())
-        for c in candidates:
+            candidates &= by_product[chosen[j]].get(sgram[j][i], 0)
+        if i == r - 1:
+            return candidates.bit_count()
+        count = 0
+        while candidates:
+            c = candidates.bit_length() - 1
+            candidates ^= 1 << c
             chosen.append(c)
-            extend(i + 1)
+            count += extend(i + 1)
             chosen.pop()
+        return count
 
-    extend(0)
-    return count
+    return extend(0) if r else 1
 
 
 def test_self_embeddings_count_automorphisms():

@@ -123,6 +123,10 @@ def test_jordan_odd_p():
     assert jordan_decompose(m2, 3) == (("u", 0, 1), ("u", 0, 1))
     m3 = ((F(2), F(0)), (F(0), F(1)))
     assert jordan_decompose(m3, 3) == (("u", 0, 1), ("u", 0, 2))
+    # the least valuation off the diagonal: a 2x2 pivot of determinant
+    # class 35/4, a nonsquare mod 3
+    m4 = ((F(3), F(1, 2)), (F(1, 2), F(3)))
+    assert jordan_decompose(m4, 3) == (("u", 0, 1), ("u", 0, 2))
 
 
 def test_not_half_integral_raises_under_optimize():
@@ -275,6 +279,19 @@ def test_jordan_roundtrip_invariants():
             assert _signature(jordan_decompose(mat, p), p) == sig
             twisted = _congruent(mat, _random_unimodular(rng, len(mat)))
             assert _signature(jordan_decompose(twisted, p), p) == sig
+
+
+def test_jordan_odd_p_blocks_are_congruence_invariant():
+    # at odd p the block list itself, not only its invariants, is the same
+    # for a matrix and its unimodular twists, whichever pivots they meet
+    rng = random.Random(2203)
+    for p in PRIMES[1:]:
+        for _ in range(200):
+            blocks = _random_blocks(rng, p, 6, 3)
+            mat = block_matrix(blocks, p)
+            assert jordan_decompose(mat, p) == blocks, (blocks, p)
+            twisted = _congruent(mat, _random_unimodular(rng, len(mat)))
+            assert jordan_decompose(twisted, p) == blocks, (blocks, p)
 
 
 def test_merge_matches_direct_sum():
