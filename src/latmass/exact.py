@@ -83,6 +83,8 @@ def det(mat) -> Fraction:
             out = -out
         out *= a[c][c]
         for r in range(c + 1, n):
+            if not a[r][c]:
+                continue  # nothing to clear, and 0 * row still costs n Fraction ops
             f = a[r][c] / a[c][c]
             for t in range(c, n):
                 a[r][t] -= f * a[c][t]

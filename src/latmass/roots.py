@@ -267,7 +267,17 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     whose root count some component's Borcherds modulus does not divide.
     The filters are for the solve list, which needs only the systems that
     can carry mass; a listing of coefficients wants every system, so it
-    passes no dim.
+    passes no dim."""
+    out = []
+    for bucket in _walk(max_rank, dim, filters, 0)[1]:
+        out += bucket
+    return out
+
+
+def _walk(max_rank: int, dim: int | None, filters: bool, lo: int):
+    """The systems `enumerate_systems` keeps, as (counts, buckets): the
+    number kept at each rank 0..max_rank, and for each rank the list of
+    them in solver order, built only at ranks >= lo (empty below).
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It
@@ -277,13 +287,14 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     twice into the rank left, recursing while a further type fits; a type
     that fits only once ends the system, so there it only tests the
     filters, the root count first (8 in 10 of the dim-32 steps).  A
-    RootSystem is built only for the systems kept, by `object.__new__` and
-    the slot descriptors' setters, so the frozen dataclass's `__init__`
-    (one `object.__setattr__` per field) is skipped; it is handed the
-    invariants and the name it would derive, and goes into its rank's
-    bucket.  Each bucket is sorted twice, stably: on the name, then on the
-    determinant, descending.  Names are unique, so that is the order on
-    (-det, name), and each sort compares one field only."""
+    RootSystem is built only for the systems kept at a built rank, by
+    `object.__new__` and the slot descriptors' setters, so the frozen
+    dataclass's `__init__` (one `object.__setattr__` per field) is
+    skipped; it is handed the invariants and the name it would derive, and
+    goes into its rank's bucket.  Each bucket is sorted twice, stably: on
+    the name, then on the determinant, descending.  Names are unique, so
+    that is the order on (-det, name), and each sort compares one field
+    only."""
     if max_rank < 0:
         raise ValueError(f"max_rank must be at least 0, got {max_rank}")
     # budget left when a system reaches rank dim; -1 (never) without that filter
@@ -308,12 +319,16 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     set_components, set_name, set_rank, set_det, set_roots = (
         getattr(RootSystem, f).__set__ for f in ("components", "name", "rank", "det", "root_count")
     )
+    counts = [0] * (max_rank + 1)
     buckets: list[list[RootSystem]] = [[] for _ in range(max_rank + 1)]
     parts: list[tuple[str, int, int]] = []
 
     def keep(left: int, d: int, n_roots: int):
         # the system on the stacks passed the filters
         rank = max_rank - left
+        if rank < lo:
+            counts[rank] += 1
+            return
         rs = new(RootSystem)
         set_components(rs, tuple(parts))
         set_name(rs, " ".join(a_names + d_names + e_names))
@@ -362,12 +377,15 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
             stack.pop()
             parts.pop()
 
-    buckets[0].append(EMPTY)  # the empty system passes every filter
+    # the empty system passes every filter
+    if lo <= 0:
+        buckets[0].append(EMPTY)
+    else:
+        counts[0] = 1
     build(0, max_rank, 1, 0, 1)
-    out = []
     by_name, by_det = attrgetter("name"), attrgetter("det")
-    for bucket in buckets:
+    for rank, bucket in enumerate(buckets):
         bucket.sort(key=by_name)
         bucket.sort(key=by_det, reverse=True)  # stable: names stay ascending
-        out += bucket
-    return out
+        counts[rank] += len(bucket)
+    return counts, buckets

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .embeddings import rep_count
 from .exact import bernoulli
-from .roots import RootSystem, enumerate_systems
+from .roots import RootSystem, _walk, enumerate_systems
 from .siegel import eisenstein_coefficient
 
 CHECKPOINT_EVERY = 500  # systems solved between checkpoint saves
@@ -144,14 +144,27 @@ def solve_masses(
 ) -> MassTable:
     """Solve the whole mass table for one dimension (a multiple of 8).
 
+    The systems are solved from the largest down, each after every system
+    it can embed into.  A serial solve without a checkpoint builds the
+    systems of full rank first and those of lower rank only when it
+    reaches them, so a run stopped early never enumerates them.  A pool
+    (`workers` > 1) takes every coefficient job up front and a checkpoint
+    records a digest of the whole order, so those runs enumerate every
+    system before solving any.
+
     With `checkpoint`, the table so far is saved to that path every
     CHECKPOINT_EVERY systems and once finished.  A file already there is
     checked against this run and resumed; a finished one is returned
     without solving anything.
     """
-    systems = enumerate_systems(dim, dim=dim)
+    parallel = bool(workers and workers > 1)
+    if checkpoint or parallel:
+        systems = enumerate_systems(dim, dim=dim)
+        count = len(systems)
+    else:
+        counts, buckets = _walk(dim, dim, True, dim)
+        count = sum(counts)
     genus = genus_mass(dim)
-    count = len(systems)
     # only a checkpoint records the order, so only a checkpointed run hashes it
     digest = _order_digest([str(rs) for rs in systems]) if checkpoint else None
     done = 0
@@ -166,16 +179,21 @@ def solve_masses(
         nonzero = list(masses.items())
 
     # the systems still to solve, largest first
-    todo = systems[: count - done][::-1]
-    if workers and workers > 1 and todo:
+    if checkpoint or parallel:
+        todo = systems[: count - done][::-1]
+    else:
+        todo = _largest_first(dim, buckets[dim])
+    if parallel and todo:
         # every coefficient is ready before back-substitution starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(todo) // (workers * 8))
             values = list(pool.map(_coefficient_job, todo, [dim] * len(todo), chunksize=chunk))
+        jobs = zip(todo, values)
     else:
-        values = (eisenstein_coefficient(rs, dim) for rs in todo)
+        # one pass over todo, which may be a generator
+        jobs = ((rs, eisenstein_coefficient(rs, dim)) for rs in todo)
 
-    for rs, a in zip(todo, values):
+    for rs, a in jobs:
         acc = genus * a
         for rs_j, m_j in nonzero:
             n = rep_count(rs, rs_j)
@@ -195,4 +213,14 @@ def solve_masses(
         if progress is not None:
             progress(done, count, rs, m)
 
+    if done != count:
+        raise RuntimeError(f"solved {done} of {count} root systems")
     return MassTable(dim, dict(nonzero))
+
+
+def _largest_first(dim: int, top: list[RootSystem]):
+    """The solve list of `dim` in reverse: the systems of full rank (`top`,
+    in solve order), then those of lower rank, enumerated only when the
+    first of them is asked for."""
+    yield from reversed(top)
+    yield from reversed(enumerate_systems(dim - 1, dim=dim))

@@ -17,6 +17,7 @@ from latmass.exact import (
     squarefree_decompose,
     zeta_value,
 )
+from latmass.roots import RootSystem, system_gram
 
 
 def test_bernoulli_numbers():
@@ -59,6 +60,56 @@ def test_squarefree_decompose():
     assert squarefree_decompose(45) == (3, 5)
     s, r = squarefree_decompose(2**10 * 3**3 * 7)
     assert s * s * r == 2**10 * 3**3 * 7 and r == 21
+
+
+def cofactor_det(mat):
+    """Laplace expansion along the first row."""
+    if not mat:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * mat[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+        if mat[0][j]
+    )
+
+
+def test_det_matches_cofactor_expansion():
+    # det skips the rows whose entry under the pivot is already 0; it must
+    # agree with the expansion on dense, sparse, row-swapping and singular
+    # matrices
+    rng = random.Random(24)
+
+    def entry(density):
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    kinds = {"dense": [], "sparse": [], "swap": [], "singular": []}
+    for n in range(1, 7):
+        for _ in range(12):
+            kinds["dense"].append([[entry(1.0) for _ in range(n)] for _ in range(n)])
+            kinds["sparse"].append([[entry(0.3) for _ in range(n)] for _ in range(n)])
+            # a zero leading column entry forces a row swap at the first pivot
+            swap = [[entry(0.8) for _ in range(n)] for _ in range(n)]
+            swap[0][0] = Fraction(0)
+            if n > 1:
+                swap[n - 1][0] = Fraction(rng.randint(1, 9))
+            kinds["swap"].append(swap)
+            # the last row a combination of the others
+            rows = [[entry(0.7) for _ in range(n)] for _ in range(n - 1)]
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+            last = [sum((c * row[t] for c, row in zip(coeffs, rows)), Fraction(0)) for t in range(n)]
+            kinds["singular"].append(rows + [last])
+    for kind, mats in kinds.items():
+        for mat in mats:
+            assert det(mat) == cofactor_det(mat), (kind, mat)
+    assert all(det(mat) == 0 for mat in kinds["singular"])
+    assert any(det(mat) for mat in kinds["sparse"])
+    # the sparse 32x32 half-Grams of root systems: det(G / 2) = det(G) / 2^32
+    for name in ("E8^4", "D16 E8^2", "A1^32", "A4^8"):
+        rs = RootSystem.parse(name)
+        half = [[Fraction(v, 2) for v in row] for row in system_gram(rs)]
+        assert det(half) == Fraction(rs.det, 2**rs.rank), name
 
 
 def test_zeta_values():

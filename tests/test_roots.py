@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import run_python
 from latmass.roots import (
     EMPTY,
     RootSystem,
+    _walk,
     component_gram,
     component_roots,
     enumerate_systems,
@@ -213,6 +215,23 @@ def test_enumeration_components():
         for f in dataclasses.fields(RootSystem):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rs, f.name, getattr(rs, f.name))
+
+
+def test_walk_counts_and_top_bucket():
+    # the serial solve takes its count from the walk's per-rank counts and
+    # its list from the top bucket followed by the enumeration one rank short
+    def seen(systems):
+        return [(rs.components, rs.name, rs.rank, rs.det, rs.root_count) for rs in systems]
+
+    for dim in (8, 16, 24, 32):
+        full = enumerate_systems(dim, dim=dim)
+        counts, buckets = _walk(dim, dim, True, dim)
+        ranks = Counter(rs.rank for rs in full)
+        assert counts == [ranks[r] for r in range(dim + 1)], dim
+        assert sum(counts) == len(full), dim
+        assert buckets[:dim] == [[]] * dim, dim
+        lower = enumerate_systems(dim - 1, dim=dim)
+        assert seen(lower + buckets[dim]) == seen(full), dim
 
 
 def test_root_system_is_a_slotted_value():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmass.roots import RootSystem, enumerate_systems
+from latmass.roots import RootSystem, _walk, enumerate_systems
 from latmass.solver import (
     CheckpointMismatch,
     MassTable,
@@ -48,16 +48,28 @@ def test_solve_dimension_16():
 
 def test_filters_drop_only_zero_masses(monkeypatch, table8, table16):
     # the solve enumerates with the square-determinant and Borcherds filters;
-    # on the full list the dropped systems must come out with mass 0
+    # on the full list the dropped systems must come out with mass 0.  The
+    # serial solve reads its top rank and count from the walk and the rest
+    # from enumerate_systems, so both are patched
     def unfiltered(max_rank, dim=None):
         return enumerate_systems(max_rank, dim=dim, filters=False)
 
+    def unfiltered_walk(max_rank, dim, filters, lo):
+        return _walk(max_rank, dim, False, lo)
+
     monkeypatch.setattr("latmass.solver.enumerate_systems", unfiltered)
+    monkeypatch.setattr("latmass.solver._walk", unfiltered_walk)
     for filtered in (table8, table16):
         d = filtered.dim
-        counts = set()
-        table = solve_masses(d, progress=lambda done, count, rs, m: counts.add(count))
+        counts, solved = set(), []
+
+        def progress(done, count, rs, m):
+            counts.add(count)
+            solved.append(rs)
+
+        table = solve_masses(d, progress=progress)
         assert counts == {len(unfiltered(d, dim=d))}
+        assert solved == unfiltered(d, dim=d)[::-1]
         assert len(unfiltered(d, dim=d)) > len(enumerate_systems(d, dim=d))
         assert table.masses == filtered.masses
 
@@ -126,8 +138,35 @@ def test_mass_table_save_load(tmp_path):
     assert loaded.masses == table.masses
 
 
-def test_workers_match_serial():
-    assert solve_masses(16, workers=2).masses == solve_masses(16).masses
+def test_workers_match_serial(tmp_path):
+    # the streamed serial solve, the pool and a checkpointed run build their
+    # solve lists differently but must solve the same systems to one table
+    tables, counts = [], []
+    for kwargs in ({}, {"workers": 2}, {"checkpoint": str(tmp_path / "dim16.json")}):
+        seen = set()
+        tables.append(solve_masses(16, progress=lambda done, count, rs, m: seen.add(count), **kwargs))
+        counts.append(seen)
+    assert tables[1].masses == tables[0].masses == tables[2].masses
+    assert counts == [{2013}] * 3
+
+
+def test_serial_solve_streams_lower_ranks(monkeypatch):
+    # the first 250 systems of the serial dim-32 solve are all of rank 32,
+    # so the solve must not enumerate the lower ranks to reach them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lower ranks were enumerated")
+
+    monkeypatch.setattr("latmass.solver.enumerate_systems", refuse)
+    seen = []
+
+    def progress(done, count, rs, m):
+        seen.append((done, count, rs.rank))
+        if done >= 250:
+            raise Interrupted
+
+    with pytest.raises(Interrupted):
+        solve_masses(32, progress=progress)
+    assert seen == [(i, 135443, 32) for i in range(1, 251)]
 
 
 def test_saved_table_checks(tmp_path):
