@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .embeddings import rep_count
 from .exact import bernoulli
@@ -145,46 +146,49 @@ def solve_masses(
     """Solve the whole mass table for one dimension (a multiple of 8).
 
     The systems are solved from the largest down, each after every system
-    it can embed into.  A serial solve without a checkpoint builds the
-    systems of full rank first and those of lower rank only when it
-    reaches them, so a run stopped early never enumerates them.  A pool
-    (`workers` > 1) takes every coefficient job up front and a checkpoint
-    records a digest of the whole order, so those runs enumerate every
-    system before solving any.
+    it can embed into.  A serial solve builds the systems of full rank
+    first and those of lower rank only when it reaches them, so a run
+    stopped early never enumerates them.  A pool (`workers` > 1) takes
+    every coefficient job up front, so it enumerates every system before
+    solving any.
 
     With `checkpoint`, the table so far is saved to that path every
-    CHECKPOINT_EVERY systems and once finished.  A file already there is
-    checked against this run and resumed; a finished one is returned
-    without solving anything.
+    CHECKPOINT_EVERY systems and once finished, with a digest of the names
+    of the systems solved so far, in enumeration order.  A file already
+    there is checked against this run, its digest against the systems this
+    run solves first, and resumed; a finished one is returned without
+    solving anything.  Either path resumes a checkpoint the other wrote.
     """
+    genus = genus_mass(dim)
     parallel = bool(workers and workers > 1)
-    if checkpoint or parallel:
+    if parallel:
         systems = enumerate_systems(dim, dim=dim)
         count = len(systems)
+        todo = reversed(systems)
     else:
         counts, buckets = _walk(dim, dim, True, dim)
         count = sum(counts)
-    genus = genus_mass(dim)
-    # only a checkpoint records the order, so only a checkpointed run hashes it
-    digest = _order_digest([str(rs) for rs in systems]) if checkpoint else None
+        todo = _largest_first(dim, buckets[dim])
+    # todo yields the systems still to solve, largest first
     done = 0
     nonzero: list[tuple[RootSystem, Fraction]] = []
+    solved: list[str] = []  # names in solve order, kept only for the checkpoint digest
 
     if checkpoint and os.path.exists(checkpoint):
-        header, masses = _read_table(checkpoint, dim=dim, count=count, order_digest=digest)
+        header, masses = _read_table(checkpoint, dim=dim, count=count)
         done = header["done"]
-        if not set(masses) <= set(systems[count - done :]):
+        prefix = list(islice(todo, done))
+        solved = [str(rs) for rs in prefix]
+        if header.get("order_digest") != _order_digest(reversed(solved)):
+            raise CheckpointMismatch(f"checkpoint {checkpoint} does not match this run")
+        if not set(masses) <= set(prefix):
             raise CheckpointMismatch(f"checkpoint {checkpoint} has masses of unsolved systems")
         # the pull sums below are exact, so their order does not matter
         nonzero = list(masses.items())
 
-    # the systems still to solve, largest first
-    if checkpoint or parallel:
-        todo = systems[: count - done][::-1]
-    else:
-        todo = _largest_first(dim, buckets[dim])
-    if parallel and todo:
+    if parallel and done < count:
         # every coefficient is ready before back-substitution starts
+        todo = list(todo)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(todo) // (workers * 8))
             values = list(pool.map(_coefficient_job, todo, [dim] * len(todo), chunksize=chunk))
@@ -205,8 +209,11 @@ def solve_masses(
         if m:
             nonzero.append((rs, m))
         done += 1
+        if checkpoint:
+            solved.append(str(rs))
         # checkpoint first: a progress callback may stop the run by raising
         if checkpoint and (done % CHECKPOINT_EVERY == 0 or done == count):
+            digest = _order_digest(reversed(solved))
             MassTable(dim, dict(nonzero)).save(
                 checkpoint, count=count, order_digest=digest, done=done
             )

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import run_python
 from latmass.cli import main
-from latmass.solver import genus_mass, solve_masses
+from latmass.roots import enumerate_systems
+from latmass.solver import _order_digest, genus_mass, solve_masses
 from test_solver import Interrupted, stop_after
 
 
@@ -208,7 +209,6 @@ def test_stale_checkpoint_discarded(capsys, tmp_path):
     with pytest.raises(Interrupted):
         solve_masses(16, checkpoint=str(stale), progress=stop_after(500))
     data = json.loads(stale.read_text())
-    digest = data["order_digest"]
     stale.write_text(json.dumps({**data, "order_digest": "0" * 16}))
     code, out, err = run(capsys, "mass", "--dim", "16", "--cache", str(cache))
     assert code == 0
@@ -216,7 +216,8 @@ def test_stale_checkpoint_discarded(capsys, tmp_path):
     rows = json.loads(out)["rows"]
     assert [row["root_system"] for row in rows] == ["D16", "E8^2"]
     data = json.loads(stale.read_text())
-    assert data["order_digest"] == digest and data["done"] == data["count"]
+    names = [str(rs) for rs in enumerate_systems(16, dim=16)]
+    assert data["order_digest"] == _order_digest(names) and data["done"] == data["count"]
 
 
 def test_edited_checkpoint_discarded(capsys, tmp_path):

@@ -116,6 +116,17 @@ def test_checkpoint_records_order_digest(tmp_path, table16):
     names = [str(rs) for rs in enumerate_systems(16, dim=16)]
     assert json.loads(path.read_text())["order_digest"] == _order_digest(names)
     assert table.masses == table16.masses
+    # an unfinished file digests only the systems solved, the last of the
+    # enumeration, in enumeration order
+    path = tmp_path / "dim16-500.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), progress=stop_after(500))
+    data = json.loads(path.read_text())
+    assert (data["done"], data["order_digest"]) == (500, _order_digest(names[-500:]))
+    # an unfinished file that digests the whole order is refused
+    path.write_text(json.dumps({**data, "order_digest": _order_digest(names)}))
+    with pytest.raises(CheckpointMismatch, match="does not match"):
+        solve_masses(16, checkpoint=str(path))
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
@@ -139,34 +150,72 @@ def test_mass_table_save_load(tmp_path):
 
 
 def test_workers_match_serial(tmp_path):
-    # the streamed serial solve, the pool and a checkpointed run build their
-    # solve lists differently but must solve the same systems to one table
+    # the streamed serial solve and the pool build their solve lists
+    # differently, with or without a checkpoint, but must solve the same
+    # systems to one table
     tables, counts = [], []
-    for kwargs in ({}, {"workers": 2}, {"checkpoint": str(tmp_path / "dim16.json")}):
+    for kwargs in (
+        {},
+        {"workers": 2},
+        {"checkpoint": str(tmp_path / "serial.json")},
+        {"workers": 2, "checkpoint": str(tmp_path / "pool.json")},
+    ):
         seen = set()
         tables.append(solve_masses(16, progress=lambda done, count, rs, m: seen.add(count), **kwargs))
         counts.append(seen)
-    assert tables[1].masses == tables[0].masses == tables[2].masses
-    assert counts == [{2013}] * 3
+    assert all(table.masses == tables[0].masses for table in tables)
+    assert counts == [{2013}] * 4
 
 
-def test_serial_solve_streams_lower_ranks(monkeypatch):
+@pytest.mark.parametrize("first, then", [({}, {"workers": 2}), ({"workers": 2}, {})])
+def test_checkpoint_resumes_on_the_other_path(tmp_path, table16, first, then):
+    # a checkpoint written by the serial solve resumes under the pool and
+    # the other way round, and the finished file digests the whole order
+    path = str(tmp_path / "dim16.json")
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=path, progress=stop_after(750), **first)
+    with open(path) as fh:
+        assert json.load(fh)["done"] == 500
+    resumed = solve_masses(16, checkpoint=path, **then)
+    assert resumed.masses == table16.masses
+    names = [str(rs) for rs in enumerate_systems(16, dim=16)]
+    with open(path) as fh:
+        data = json.load(fh)
+    assert (data["done"], data["order_digest"]) == (2013, _order_digest(names))
+
+
+def test_serial_solve_streams_lower_ranks(monkeypatch, tmp_path):
     # the first 250 systems of the serial dim-32 solve are all of rank 32,
-    # so the solve must not enumerate the lower ranks to reach them
+    # so the solve must not enumerate the lower ranks to reach them, with
+    # or without a checkpoint
     def refuse(*args, **kwargs):
         raise AssertionError("the lower ranks were enumerated")
 
     monkeypatch.setattr("latmass.solver.enumerate_systems", refuse)
-    seen = []
+    for checkpoint in (None, str(tmp_path / "dim32.json")):
+        seen = []
 
-    def progress(done, count, rs, m):
-        seen.append((done, count, rs.rank))
-        if done >= 250:
-            raise Interrupted
+        def progress(done, count, rs, m):
+            seen.append((done, count, rs.rank))
+            if done >= 250:
+                raise Interrupted
 
-    with pytest.raises(Interrupted):
-        solve_masses(32, progress=progress)
-    assert seen == [(i, 135443, 32) for i in range(1, 251)]
+        with pytest.raises(Interrupted):
+            solve_masses(32, checkpoint=checkpoint, progress=progress)
+        assert seen == [(i, 135443, 32) for i in range(1, 251)]
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("dim", [44, 36, 0, -8])
+def test_bad_dimension_rejected_before_enumerating(monkeypatch, dim, workers):
+    # the genus mass rejects the dimension before any system is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("systems were enumerated")
+
+    monkeypatch.setattr("latmass.solver._walk", refuse)
+    monkeypatch.setattr("latmass.solver.enumerate_systems", refuse)
+    with pytest.raises(ValueError, match="positive multiple of 8"):
+        solve_masses(dim, workers=workers)
 
 
 def test_saved_table_checks(tmp_path):
