@@ -26,7 +26,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .embeddings import rep_count
-from .exact import factorize
+from .exact import det, factorize
 from .padic import jordan_decompose
 from .reduction import class_lower_bound, even_class_bound, reduce_masses
 from .roots import EMPTY, RootSystem, enumerate_systems
@@ -106,16 +106,10 @@ def _parse_gram(text: str, even: bool = True):
         raise UsageError("Gram matrix must be symmetric")
     if even and any(gram[i][i] % 2 for i in range(n)):
         raise UsageError("Gram matrix must be even (even diagonal)")
-    # positive definite: all leading principal minors positive, that is, only
-    # positive pivots (ratios of consecutive minors) without row exchanges
-    a = [[Fraction(v) for v in row] for row in gram]
-    for k, pivot in enumerate(a):
-        if pivot[k] <= 0:
-            raise UsageError("Gram matrix must be positive definite")
-        for row in a[k + 1:]:
-            if row[k]:
-                f = row[k] / pivot[k]
-                row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
+    try:
+        det(gram)
+    except ValueError:
+        raise UsageError("Gram matrix must be positive definite") from None
     return gram
 
 

@@ -1,11 +1,11 @@
 """Exact rational arithmetic for mass computations.
 
-Bernoulli numbers, factoring and determinants, the Kronecker symbol, and
-the values of the Riemann zeta function and of L(s, chi) at integers s <= 0,
-where they are rational.  A real primitive character chi is given by its
-fundamental discriminant disc, as chi(m) = kronecker(disc, m) of conductor
-|disc|.  Everything downstream (Siegel series, Eisenstein coefficients,
-masses) is a Fraction built from these.
+Bernoulli numbers, factoring, positive definite determinants, the Kronecker
+symbol, and the values of the Riemann zeta function and of L(s, chi) at
+integers s <= 0, where they are rational.  A real primitive character chi is
+given by its fundamental discriminant disc, as chi(m) = kronecker(disc, m)
+of conductor |disc|.  Everything downstream (Siegel series, Eisenstein
+coefficients, masses) is a Fraction built from these.
 """
 
 from __future__ import annotations
@@ -68,26 +68,28 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 def det(mat) -> Fraction:
-    """Determinant of a square rational matrix by Gaussian elimination."""
+    """Determinant of a symmetric positive definite rational matrix.
+
+    Gaussian elimination without row exchanges, so each pivot is the ratio
+    of two consecutive leading principal minors, and the matrix is positive
+    definite exactly when every pivot is positive (Sylvester).  Raises
+    ValueError at the first pivot <= 0; else returns their product."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("the matrix is not square")
+    if any(mat[i][j] != mat[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("the matrix is not symmetric")
     a = [[Fraction(x) for x in row] for row in mat]
     out = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        for r in range(c + 1, n):
-            if not a[r][c]:
-                continue  # nothing to clear, and 0 * row still costs n Fraction ops
-            f = a[r][c] / a[c][c]
-            for t in range(c, n):
-                a[r][t] -= f * a[c][t]
+    for c, pivot_row in enumerate(a):
+        pivot = pivot_row[c]
+        if pivot <= 0:
+            raise ValueError(f"the matrix is not positive definite: pivot {pivot} at row {c}")
+        out *= pivot
+        for row in a[c + 1 :]:
+            if row[c]:  # else nothing to clear, and 0 * row still costs n Fraction ops
+                f = row[c] / pivot
+                row[c:] = [x - f * y for x, y in zip(row[c:], pivot_row[c:])]
     return out
 
 

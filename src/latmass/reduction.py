@@ -153,17 +153,16 @@ def reduce_masses(table: MassTable) -> OddMassTable:
         for i, (k1, r1, mu1) in enumerate(comps):
             v1 = _component_roots(k1, r1)
             hat1 = component_rows("A", 1, k1, r1)[0][1]  # complement of one root
-            # case 1, both instances of the same type
-            if mu1 >= 2:
-                target = RootSystem.from_parts([*comps, (k1, r1, -2), *hat1, *hat1])
-                pairs = math.comb(mu1, 2)
-                out._add(table.dim - 2, target, source, m * pairs * v1 * v1)
-            # case 1, instances of two distinct types
-            for k2, r2, mu2 in comps[i + 1 :]:
+            # case 1, the roots in two instances: both of this type, or one
+            # of this type and one of a later type
+            for k2, r2, mu2 in comps[i:]:
+                pairs = math.comb(mu1, 2) if (k2, r2) == (k1, r1) else mu1 * mu2
+                if not pairs:
+                    continue
                 v2 = _component_roots(k2, r2)
                 hat2 = component_rows("A", 1, k2, r2)[0][1]
                 target = RootSystem.from_parts([*comps, (k1, r1, -1), (k2, r2, -1), *hat1, *hat2])
-                out._add(table.dim - 2, target, source, m * mu1 * mu2 * v1 * v2)
+                out._add(table.dim - 2, target, source, m * pairs * v1 * v2)
             # case 2, both roots inside one instance
             for count, drop, parts in _case2_rows(k1, r1):
                 if count == 0:
@@ -329,17 +328,14 @@ def class_lower_bound(
     for j in range(n + 1):
         n0 = n - j
         z_norm = 2**j * math.factorial(j)
-        if n0 == 0:
-            # unique empty lattice; its reduction bucket carries mass exactly 1
-            if odd_table.mass(0, EMPTY) != 1:
-                raise RuntimeError("the empty lattice does not have mass 1")
-            full = RootSystem.from_parts([("Z", 1, j)])
-            total += mod_ceiling(Fraction(1) * w_prime(full, n) / z_norm)
-            systems[full] = Fraction(1, z_norm)
-            continue
+        # the unique empty lattice; its reduction bucket carries mass exactly 1
+        if n0 == 0 and odd_table.mass(0, EMPTY) != 1:
+            raise RuntimeError("the empty lattice does not have mass 1")
         for target in odd_table.systems(n0):
             full = RootSystem.from_parts([*target.components, ("Z", 1, j)])
-            wp = w_prime(full, n)
+            # w'(full, n) = z_norm * w'(target, n0), which cancels the mass
+            # factor 1 / z_norm of Z^j: a summand's rounding is the same at every j
+            wp = w_prime(target, n0)
             if j == 0 and n0 % 8 == 0:
                 # the bucket also counts even unimodular lattices; strip them
                 if n0 not in even_tables:
@@ -356,7 +352,7 @@ def class_lower_bound(
                 continue
             bucket_total = Fraction(0)
             for _, value in odd_table.summands(n0, target):
-                total += mod_ceiling(value * wp / z_norm)
+                total += mod_ceiling(value * wp)
                 bucket_total += value
             systems[full] = bucket_total / z_norm
     return ClassBound(total, len(systems), systems)

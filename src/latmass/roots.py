@@ -267,17 +267,18 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     whose root count some component's Borcherds modulus does not divide.
     The filters are for the solve list, which needs only the systems that
     can carry mass; a listing of coefficients wants every system, so it
-    passes no dim."""
+    passes no dim, which is what filters=False amounts to."""
     out = []
-    for bucket in _walk(max_rank, dim, filters, 0)[1]:
+    for bucket in _walk(max_rank, dim if filters else None, 0)[1]:
         out += bucket
     return out
 
 
-def _walk(max_rank: int, dim: int | None, filters: bool, lo: int):
-    """The systems `enumerate_systems` keeps, as (counts, buckets): the
-    number kept at each rank 0..max_rank, and for each rank the list of
-    them in solver order, built only at ranks >= lo (empty below).
+def _walk(max_rank: int, dim: int | None, lo: int):
+    """The systems `enumerate_systems` keeps, filtered for dim unless it is
+    None, as (counts, buckets): the number kept at each rank 0..max_rank,
+    and for each rank the list of them in solver order, built only at ranks
+    >= lo (empty below).
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It
@@ -297,9 +298,9 @@ def _walk(max_rank: int, dim: int | None, filters: bool, lo: int):
     only."""
     if max_rank < 0:
         raise ValueError(f"max_rank must be at least 0, got {max_rank}")
-    # budget left when a system reaches rank dim; -1 (never) without that filter
-    full_left = max_rank - dim if filters and dim is not None else -1
-    borcherds = filters and dim == 32
+    # budget left when a system reaches rank dim; -1 (never) without a dim
+    full_left = max_rank - dim if dim is not None else -1
+    borcherds = dim == 32
     a_names, d_names, e_names = [], [], []
     names = {"A": a_names, "D": d_names, "E": e_names}
     comps = _component_types(max_rank)

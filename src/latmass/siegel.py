@@ -377,12 +377,10 @@ def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:
 
 
 def coefficient_for_gram(gram, dim: int) -> Fraction:
-    """Same coefficient for an arbitrary even positive definite Gram matrix."""
+    """Same coefficient for an arbitrary even positive definite Gram matrix;
+    `det` raises ValueError for one that is not positive definite."""
     half = tuple(tuple(Fraction(v, 2) for v in row) for row in gram)
-    det_b = det(half)
-    if det_b <= 0:
-        raise ValueError(f"gram has determinant {det_b * 2 ** len(gram)}, not positive")
-    return _coefficient(len(gram), dim, det_b, lambda p: jordan_decompose(half, p))
+    return _coefficient(len(gram), dim, det(half), lambda p: jordan_decompose(half, p))
 
 
 def scalar_coefficient(m: int, dim: int) -> Fraction:

@@ -166,7 +166,7 @@ def solve_masses(
         count = len(systems)
         todo = reversed(systems)
     else:
-        counts, buckets = _walk(dim, dim, True, dim)
+        counts, buckets = _walk(dim, dim, dim)
         count = sum(counts)
         todo = _largest_first(dim, buckets[dim])
     # todo yields the systems still to solve, largest first

@@ -54,7 +54,8 @@ def test_squarefree_decompose():
     assert factorize(97) == {97: 1}
     assert factorize(2**10 * 3**3 * 7) == {2: 10, 3: 3, 7: 1}
     assert det([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4  # A3
-    assert det([[0, 1], [1, 0]]) == -1  # needs a row swap
+    with pytest.raises(ValueError, match="not positive definite"):
+        det([[0, 1], [1, 0]])  # would need a row swap; indefinite
     assert squarefree_decompose(1) == (1, 1)
     assert squarefree_decompose(72) == (6, 2)
     assert squarefree_decompose(45) == (3, 5)
@@ -74,37 +75,66 @@ def cofactor_det(mat):
 
 
 def test_det_matches_cofactor_expansion():
-    # det skips the rows whose entry under the pivot is already 0; it must
-    # agree with the expansion on dense, sparse, row-swapping and singular
-    # matrices
+    # det eliminates without row exchanges and skips the rows whose entry
+    # under the pivot is already 0; on symmetric positive definite matrices,
+    # dense and sparse, it must agree with the expansion, and every input
+    # that is not positive definite (one needing a row swap, a singular one,
+    # an indefinite one) must raise
     rng = random.Random(24)
 
-    def entry(density):
-        if rng.random() >= density:
-            return Fraction(0)
+    def rational():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
-    kinds = {"dense": [], "sparse": [], "swap": [], "singular": []}
+    def positive():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 5))
+
+    def congruent(signs):
+        # L diag(signs) L^T for a random unit lower triangular L: by
+        # Sylvester's law of inertia its signature is that of the signs
+        n = len(signs)
+        low = [[rational() if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        return [
+            [sum((low[i][k] * s * low[j][k] for k, s in enumerate(signs)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def dominant(n):
+        # sparse symmetric, its diagonal above the absolute row sums
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.3:
+                    mat[i][j] = mat[j][i] = rational()
+        for i in range(n):
+            mat[i][i] = sum(abs(x) for x in mat[i]) + positive()
+        return mat
+
+    kinds = {"dense": [], "sparse": [], "swap": [], "singular": [], "indefinite": []}
     for n in range(1, 7):
         for _ in range(12):
-            kinds["dense"].append([[entry(1.0) for _ in range(n)] for _ in range(n)])
-            kinds["sparse"].append([[entry(0.3) for _ in range(n)] for _ in range(n)])
-            # a zero leading column entry forces a row swap at the first pivot
-            swap = [[entry(0.8) for _ in range(n)] for _ in range(n)]
-            swap[0][0] = Fraction(0)
+            kinds["dense"].append(congruent([positive() for _ in range(n)]))
+            kinds["sparse"].append(dominant(n))
+            signs = [positive() for _ in range(n)]
+            signs[rng.randrange(n)] = Fraction(0)
+            kinds["singular"].append(congruent(signs))
+            signs = [positive() for _ in range(n)]
+            signs[rng.randrange(n)] *= -1
+            kinds["indefinite"].append(congruent(signs))
             if n > 1:
-                swap[n - 1][0] = Fraction(rng.randint(1, 9))
-            kinds["swap"].append(swap)
-            # the last row a combination of the others
-            rows = [[entry(0.7) for _ in range(n)] for _ in range(n - 1)]
-            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
-            last = [sum((c * row[t] for c, row in zip(coeffs, rows)), Fraction(0)) for t in range(n)]
-            kinds["singular"].append(rows + [last])
-    for kind, mats in kinds.items():
-        for mat in mats:
-            assert det(mat) == cofactor_det(mat), (kind, mat)
-    assert all(det(mat) == 0 for mat in kinds["singular"])
-    assert any(det(mat) for mat in kinds["sparse"])
+                # a zero leading entry: elimination would need a row swap
+                swap = dominant(n)
+                swap[0][0] = Fraction(0)
+                swap[0][n - 1] = swap[n - 1][0] = Fraction(rng.randint(1, 9))
+                kinds["swap"].append(swap)
+    for kind in ("dense", "sparse"):
+        for mat in kinds[kind]:
+            assert det(mat) == cofactor_det(mat) > 0, (kind, mat)
+    assert any(any(not x for row in mat for x in row) for mat in kinds["sparse"])
+    for kind in ("swap", "singular", "indefinite"):
+        for mat in kinds[kind]:
+            with pytest.raises(ValueError, match="not positive definite"):
+                det(mat)
+    assert all(cofactor_det(mat) == 0 for mat in kinds["singular"])
     # the sparse 32x32 half-Grams of root systems: det(G / 2) = det(G) / 2^32
     for name in ("E8^4", "D16 E8^2", "A1^32", "A4^8"):
         rs = RootSystem.parse(name)
@@ -215,6 +245,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: l_value(1, -4),\n"
         "    lambda: det(((2, 1),)),\n"
         "    lambda: det(((2, 1), (1,))),\n"
+        "    lambda: det(((2, 1), (0, 2))),\n"
+        "    lambda: det(((2, 1), (1, -2))),\n"
         "]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 from conftest import run_python
-from latmass.exact import det
 from latmass.padic import (
     _diag_over_qp,
     block_matrix,
@@ -17,6 +16,7 @@ from latmass.padic import (
 )
 from latmass.roots import RootSystem, system_gram
 from latmass.siegel import coefficient_for_gram, component_blocks, eisenstein_coefficient
+from test_roots import det  # general: exact.det refuses the indefinite H blocks
 from test_siegel import digest
 
 F = Fraction

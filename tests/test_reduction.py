@@ -1,5 +1,6 @@
 """Reduction to odd lattices and the class-number machinery built on it."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,9 @@ def test_reduce_dim16(table16, table8):
     # E8 consumed inside one copy of E8^2 regenerates the dim-8 genus
     assert reduced.mass(8, R("E8")) == table8.mass(R("E8"))
     assert reduced.mass(0, EMPTY) == 1
+    # the dim-0 bucket is one summand of mass 1, so class_lower_bound needs
+    # no branch of its own for it: D_base consumed whole, at every base
+    assert reduced.summands(0, EMPTY) == [(R("D16"), Fraction(1))]
     assert reduced.systems(14) == [R("E7^2")]
     assert reduced.systems(12) == [R("D12")]
 
@@ -119,6 +123,7 @@ def test_dim24_no_root_buckets(table24):
     table, _ = table24
     reduced = reduce_masses(table)
     assert reduced.mass(0, EMPTY) == 1
+    assert reduced.summands(0, EMPTY) == [(R("D24"), Fraction(1))]
     for n in range(1, 23):
         assert reduced.no_root_mass(n) == 0, n
     rootless = no_root_masses(table)
@@ -157,6 +162,23 @@ def test_class_bounds_match_reference_up_to_22(table24, table8, table16):
         got = class_lower_bound(reduced, n, even_tables=even)
         assert got.bound == want, (n, got.bound, want)
         assert got.root_system_count == want, (n, got.root_system_count, want)
+
+
+def test_odd_genus_masses_up_to_12(table16, table8):
+    # the odd unimodular lattices of dimension n <= 12 are known: Z^n, from
+    # n = 9 also E8 + Z^(n-8), and at n = 12 also D12+ (Conway and Sloane,
+    # "Low-dimensional lattices IV", Proc. R. Soc. A 419, 1988); the masses
+    # of the bound's systems, Z^j factors restored, add up to their 1/|Aut|
+    reduced = reduce_masses(table16)
+    w_e8 = R("E8").weyl_order
+    for n in range(1, 13):
+        want = Fraction(1, 2**n * math.factorial(n))
+        if n >= 9:
+            want += Fraction(1, w_e8 * 2 ** (n - 8) * math.factorial(n - 8))
+        if n == 12:
+            want += Fraction(1, 2**11 * math.factorial(12))
+        got = class_lower_bound(reduced, n, even_tables={8: table8}).systems
+        assert sum(got.values(), Fraction(0)) == want, n
 
 
 def test_dim16_bound_mechanism(table24, table8, table16):

@@ -225,7 +225,7 @@ def test_walk_counts_and_top_bucket():
 
     for dim in (8, 16, 24, 32):
         full = enumerate_systems(dim, dim=dim)
-        counts, buckets = _walk(dim, dim, True, dim)
+        counts, buckets = _walk(dim, dim, dim)
         ranks = Counter(rs.rank for rs in full)
         assert counts == [ranks[r] for r in range(dim + 1)], dim
         assert sum(counts) == len(full), dim

@@ -165,9 +165,13 @@ def test_checks_raise_under_optimize():
     # each from its own check, also under python -O; an odd weight would
     # otherwise divide by zeta(1 - k) = 0, a (kind, rank) with no Dynkin
     # diagram must not reach the closed form at any prime, and a Z component
-    # or the empty system must not skip the checks
+    # or the empty system must not skip the checks.  A Gram matrix that is not
+    # positive definite is refused whatever the sign of its determinant, and
+    # the command line turns that into exit 2
     script = (
+        "import contextlib, io\n"
         "from latmass import siegel\n"
+        "from latmass.cli import main\n"
         "from latmass.roots import RootSystem\n"
         "R = RootSystem.parse\n"
         "cases = [\n"
@@ -179,8 +183,12 @@ def test_checks_raise_under_optimize():
         "    (ArithmeticError, 'times the conductor', lambda: siegel._l_norm(2, 3)),\n"
         "    (ArithmeticError, 'not rational', lambda: siegel._l_norm(0, -3)),\n"
         "    (ValueError, 'half-integral', lambda: siegel.coefficient_for_gram(((1,),), 8)),\n"
-        "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((2, 2), (2, 2)), 8)),\n"
-        "    (ValueError, 'gram has', lambda: siegel.coefficient_for_gram(((-2,),), 8)),\n"
+        "    (ValueError, 'not positive definite', lambda: siegel.coefficient_for_gram(((2, 2), (2, 2)), 8)),\n"
+        "    (ValueError, 'not positive definite', lambda: siegel.coefficient_for_gram(((-2,),), 8)),\n"
+        "    (ValueError, 'not positive definite', lambda: siegel.coefficient_for_gram(\n"
+        "        ((-2, 0), (0, -2)), 8)),\n"
+        "    (ValueError, 'not positive definite', lambda: siegel.coefficient_for_gram(\n"
+        "        ((-2, 0, 0, 0), (0, -2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 8)),\n"
         "    (ValueError, 'm must be', lambda: siegel.scalar_coefficient(0, 8)),\n"
         "    (ArithmeticError, 'below the scale', lambda: siegel._peel_rank1(\n"
         "        (('u', 0, 1), ('u', 5, 1)), 3, ('u', 0, 1), (('u', 5, 1),))),\n"
@@ -213,9 +221,15 @@ def test_checks_raise_under_optimize():
         "        if words in str(exc):\n"
         "            continue\n"
         "    raise SystemExit(f'no {error.__name__} about {words!r} from case {i}')\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = main(['coeff', '[[-2,0],[0,-2]]', '--dim', '8'])\n"
+        "if code != 2 or 'must be positive definite' not in err.getvalue():\n"
+        "    raise SystemExit(f'latmass coeff on diag(-2, -2): exit {code}, {err.getvalue()!r}')\n"
     )
-    result = run_python("-O", "-c", script)
-    assert result.returncode == 0, result.stderr
+    for flags in ((), ("-O",)):
+        result = run_python(*flags, "-c", script)
+        assert result.returncode == 0, (flags, result.stderr)
 
 
 def test_l_norm_scales_over_non_fundamental_discriminants():

@@ -54,8 +54,8 @@ def test_filters_drop_only_zero_masses(monkeypatch, table8, table16):
     def unfiltered(max_rank, dim=None):
         return enumerate_systems(max_rank, dim=dim, filters=False)
 
-    def unfiltered_walk(max_rank, dim, filters, lo):
-        return _walk(max_rank, dim, False, lo)
+    def unfiltered_walk(max_rank, dim, lo):
+        return _walk(max_rank, None, lo)
 
     monkeypatch.setattr("latmass.solver.enumerate_systems", unfiltered)
     monkeypatch.setattr("latmass.solver._walk", unfiltered_walk)
