@@ -241,8 +241,11 @@ def component_roots(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
 _BORCHERDS_MOD = {("E", 8): 24, ("E", 7): 12, ("E", 6): 6, ("D", 6): 4, ("D", 7): 8, ("D", 8): 8}
 
 
-def _borcherds_mod(kind: str, rank: int) -> int:
-    """Modulus a dim-32 root count must meet when this component occurs."""
+def _borcherds_mod(kind: str, rank: int, dim: int | None) -> int:
+    """Modulus a root count must meet in dimension dim when this component
+    occurs: 1 outside dimension 32."""
+    if dim != 32:
+        return 1
     if kind == "D" and rank > 8:
         return 16
     return _BORCHERDS_MOD.get((kind, rank), 1)
@@ -267,18 +270,73 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     whose root count some component's Borcherds modulus does not divide.
     The filters are for the solve list, which needs only the systems that
     can carry mass; a listing of coefficients wants every system, so it
-    passes no dim, which is what filters=False amounts to."""
+    passes no dim, which is what filters=False amounts to.  It builds every
+    system of every rank; the serial solve, which needs only the top rank
+    at first, counts the ranks below it instead (`_walk` with lo > 0)."""
     out = []
     for bucket in _walk(max_rank, dim if filters else None, 0)[1]:
         out += bucket
     return out
 
 
+def _rank_counts(max_rank: int, dim: int | None) -> list[int]:
+    """The number of systems `enumerate_systems` keeps at each rank
+    0..max_rank, for max_rank below dim, where the square-determinant filter
+    applies: every multiset of component types counts, and in dimension 32
+    only those whose root count the lcm of their Borcherds moduli divides.
+
+    The systems are counted, not visited.  The types of modulus 1 (every
+    type outside dimension 32) go into one unbounded-knapsack table, their
+    multisets by rank and root count mod the lcm of all the moduli, built
+    by one list rotation per (type, rank).  The few multisets of the types
+    that carry a modulus (D6 and up, E6, E7, E8 in dimension 32) are then
+    listed, and each adds, at every rank it leaves room for, the table's
+    count of the one residue that its own lcm accepts, read from the table
+    folded to that lcm."""
+    free, carrying = [], []
+    for kind, r in _component_types(max_rank):
+        mod = _borcherds_mod(kind, r, dim)
+        (carrying if mod > 1 else free).append((r, _component_roots(kind, r), mod))
+    width = math.lcm(*(mod for _, _, mod in carrying))
+    # table[k][x]: the multisets of free types of rank k whose root count
+    # is x mod width, the empty one at rank 0
+    table = [[int(k == 0)] + [0] * (width - 1) for k in range(max_rank + 1)]
+    for r, roots, _ in free:
+        s = roots % width
+        for k in range(r, max_rank + 1):
+            row = table[k - r]
+            table[k] = [a + b for a, b in zip(table[k], row[-s:] + row[:-s])]
+    counts = [sum(row) for row in table]
+    # lcm -> per residue mod it, the column of table counts by rank
+    folded: dict[int, list[list[int]]] = {}
+
+    def add(i: int, rank: int, roots: int, mod: int):
+        # one more carrying component, of type i or later
+        for j in range(i, len(carrying)):
+            r, c, m = carrying[j]
+            sub_rank, sub_roots, sub_mod = rank + r, roots + c, math.lcm(mod, m)
+            if sub_rank > max_rank:
+                return  # carrying is in rank order, so no later type fits
+            if sub_mod not in folded:
+                folded[sub_mod] = [
+                    [sum(row[y::sub_mod]) for row in table] for y in range(sub_mod)
+                ]
+            column = folded[sub_mod][-sub_roots % sub_mod]
+            for k in range(sub_rank, max_rank + 1):
+                counts[k] += column[k - sub_rank]
+            add(j, sub_rank, sub_roots, sub_mod)
+
+    add(0, 0, 0, 1)
+    return counts
+
+
 def _walk(max_rank: int, dim: int | None, lo: int):
     """The systems `enumerate_systems` keeps, filtered for dim unless it is
     None, as (counts, buckets): the number kept at each rank 0..max_rank,
     and for each rank the list of them in solver order, built only at ranks
-    >= lo (empty below).
+    >= lo (empty below).  The ranks below lo are counted by `_rank_counts`,
+    not visited, so lo may not exceed dim, the one rank whose filter that
+    count cannot apply.
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It
@@ -287,8 +345,12 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     before pushing it.  At each step it first tries the types that fit
     twice into the rank left, recursing while a further type fits; a type
     that fits only once ends the system, so there it only tests the
-    filters, the root count first (8 in 10 of the dim-32 steps).  A
-    RootSystem is built only for the systems kept at a built rank, by
+    filters, the root count first (8 in 10 of the dim-32 steps).  Only a
+    system of rank >= lo is tested and kept: where lo = max_rank, as in the
+    serial solve, the types that fit once are tried only where their rank
+    fills the budget left, and a type that fits twice is tested only where
+    its multiple fills it, so the prefixes below are walked but no leaf of
+    a lower rank is.  A RootSystem is built for each kept system, by
     `object.__new__` and the slot descriptors' setters, so the frozen
     dataclass's `__init__` (one `object.__setattr__` per field) is
     skipped; it is handed the invariants and the name it would derive, and
@@ -298,9 +360,12 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     only."""
     if max_rank < 0:
         raise ValueError(f"max_rank must be at least 0, got {max_rank}")
+    top = max_rank if dim is None else min(max_rank, dim)
+    if not 0 <= lo <= top:
+        raise ValueError(f"lo must lie in 0..{top}, got {lo}")
+    slack = max_rank - lo  # the most budget a kept system leaves unused
     # budget left when a system reaches rank dim; -1 (never) without a dim
     full_left = max_rank - dim if dim is not None else -1
-    borcherds = dim == 32
     a_names, d_names, e_names = [], [], []
     names = {"A": a_names, "D": d_names, "E": e_names}
     comps = _component_types(max_rank)
@@ -314,22 +379,21 @@ def _walk(max_rank: int, dim: int | None, lo: int):
             (r * m, det**m, roots * m, _token(kind, r, m), (kind, r, m))
             for m in range(1, max_rank // r + 1)
         ]
-        types.append((_borcherds_mod(kind, r) if borcherds else 1, names[kind], steps))
+        types.append((_borcherds_mod(kind, r, dim), names[kind], steps))
     fit = [sum(r <= b for _, r in comps) for b in range(max_rank + 1)]  # types of rank <= b
+    # per budget, the first type that can end a system of rank >= lo there
+    least = [fit[max(b - slack - 1, 0)] for b in range(max_rank + 1)]
     new = object.__new__
     set_components, set_name, set_rank, set_det, set_roots = (
         getattr(RootSystem, f).__set__ for f in ("components", "name", "rank", "det", "root_count")
     )
-    counts = [0] * (max_rank + 1)
+    counts = (_rank_counts(lo - 1, dim) if lo else []) + [0] * (max_rank + 1 - lo)
     buckets: list[list[RootSystem]] = [[] for _ in range(max_rank + 1)]
     parts: list[tuple[str, int, int]] = []
 
     def keep(left: int, d: int, n_roots: int):
-        # the system on the stacks passed the filters
+        # the system on the stacks passed the filters at a built rank
         rank = max_rank - left
-        if rank < lo:
-            counts[rank] += 1
-            return
         rs = new(RootSystem)
         set_components(rs, tuple(parts))
         set_name(rs, " ".join(a_names + d_names + e_names))
@@ -350,7 +414,11 @@ def _walk(max_rank: int, dim: int | None, lo: int):
                 if left < 0:
                     break
                 d, n_roots = det * cdet, roots + croots
-                passed = not n_roots % sub_mod and (left != full_left or math.isqrt(d) ** 2 == d)
+                passed = (
+                    left <= slack
+                    and not n_roots % sub_mod
+                    and (left != full_left or math.isqrt(d) ** 2 == d)
+                )
                 grow = fit[left] > j + 1
                 if not (passed or grow):
                     continue
@@ -362,8 +430,9 @@ def _walk(max_rank: int, dim: int | None, lo: int):
                     build(j + 1, left, d, n_roots, sub_mod)
                 stack.pop()
                 parts.pop()
-        # then of the types that fit once, which end the system
-        for j in range(twice, fit[budget]):
+        # then of the types that fit once, which end the system, from the
+        # first whose rank brings it to lo
+        for j in range(max(twice, least[budget]), fit[budget]):
             r_mod, stack, steps = types[j]
             used, cdet, croots, token, part = steps[0]
             n_roots = roots + croots
@@ -378,11 +447,9 @@ def _walk(max_rank: int, dim: int | None, lo: int):
             stack.pop()
             parts.pop()
 
-    # the empty system passes every filter
-    if lo <= 0:
+    # the empty system passes every filter, and below lo it is counted
+    if not lo:
         buckets[0].append(EMPTY)
-    else:
-        counts[0] = 1
     build(0, max_rank, 1, 0, 1)
     by_name, by_det = attrgetter("name"), attrgetter("det")
     for rank, bucket in enumerate(buckets):

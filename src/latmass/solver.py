@@ -148,7 +148,9 @@ def solve_masses(
     The systems are solved from the largest down, each after every system
     it can embed into.  A serial solve builds the systems of full rank
     first and those of lower rank only when it reaches them, so a run
-    stopped early never enumerates them.  A pool (`workers` > 1) takes
+    stopped early never enumerates them; their number, which `progress`
+    and the checkpoint header are given, is counted rank by rank without
+    visiting them (`roots._rank_counts`).  A pool (`workers` > 1) takes
     every coefficient job up front, so it enumerates every system before
     solving any.
 

@@ -12,6 +12,7 @@ from conftest import run_python
 from latmass.roots import (
     EMPTY,
     RootSystem,
+    _rank_counts,
     _walk,
     component_gram,
     component_roots,
@@ -232,6 +233,38 @@ def test_walk_counts_and_top_bucket():
         assert buckets[:dim] == [[]] * dim, dim
         lower = enumerate_systems(dim - 1, dim=dim)
         assert seen(lower + buckets[dim]) == seen(full), dim
+    # from any lo, the ranks >= lo are built as the whole walk builds them,
+    # and those below are only counted
+    for max_rank, dim in ((16, 16), (14, None)):
+        counts, buckets = _walk(max_rank, dim, 0)
+        for lo in range(max_rank + 1):
+            got_counts, got = _walk(max_rank, dim, lo)
+            assert got_counts == counts, (dim, lo)
+            assert got[:lo] == [[]] * lo, (dim, lo)
+            assert [seen(b) for b in got[lo:]] == [seen(b) for b in buckets[lo:]], (dim, lo)
+
+
+# systems per rank 0..32 of the filtered dim-32 solve list, recorded from
+# the walk that visited every system of every rank
+RANKS_32 = [
+    1, 1, 2, 3, 6, 9, 16, 20, 35, 51, 72, 97, 149, 200, 285, 381, 540, 717,
+    979, 1262, 1709, 2281, 2973, 3831, 5153, 6545, 8486, 10941, 13945, 17861,
+    22934, 28652, 5306,
+]
+
+
+def test_rank_counts_match_the_walk():
+    # the serial solve counts the ranks below dim instead of walking them;
+    # the count must be the walk's, Borcherds filter (dim 32) and all
+    for dim in (8, 16, 24, 32):
+        ranks = Counter(rs.rank for rs in enumerate_systems(dim - 1, dim=dim))
+        assert _rank_counts(dim - 1, dim) == [ranks[r] for r in range(dim)], dim
+    ranks = Counter(rs.rank for rs in enumerate_systems(24))
+    for max_rank in range(25):
+        assert _rank_counts(max_rank, None) == [ranks[r] for r in range(max_rank + 1)]
+    assert sum(RANKS_32) == 135443
+    assert _rank_counts(31, 32) == RANKS_32[:32]
+    assert _walk(32, 32, 32)[0] == RANKS_32
 
 
 def test_root_system_is_a_slotted_value():
@@ -307,6 +340,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: roots.system_gram(R('Z A1')),\n"
         "    lambda: roots.component_gram('D', 3),\n"
         "    lambda: roots.enumerate_systems(-1),\n"
+        "    lambda: roots._walk(16, 8, 9),\n"
+        "    lambda: roots._walk(8, None, 9),\n"
         "    lambda: rep_count(R('Z'), R('A1')),\n"
         "    lambda: rep_count(R('A1'), R('Z A1')),\n"
         "    lambda: rep_count(R('Z^3'), R('A1')),\n"

@@ -129,6 +129,34 @@ def test_checkpoint_records_order_digest(tmp_path, table16):
         solve_masses(16, checkpoint=str(path))
 
 
+# a dim-16 checkpoint as the solve that walked every lower-rank system to
+# count it wrote it, stopped at 750 systems: saved at done = 500
+OLD_CHECKPOINT_16 = {
+    "version": 1,
+    "dim": 16,
+    "count": 2013,
+    "order_digest": "c99a34ef27967090",
+    "done": 500,
+    "masses_digest": "07251b16d84fbe3a",
+    "masses": {"D16": "1/685597979049984000", "E8^2": "1/970864271032320000"},
+}
+
+
+def test_old_checkpoint_resumes(tmp_path, table16):
+    # the counted lower ranks give the count the walked ones gave, so a
+    # file written before resumes to the serial table
+    path = tmp_path / "dim16.json"
+    path.write_text(json.dumps(OLD_CHECKPOINT_16))
+    counts = set()
+    resumed = solve_masses(
+        16, checkpoint=str(path), progress=lambda done, count, rs, m: counts.add(count)
+    )
+    assert counts == {2013}
+    assert resumed.masses == table16.masses
+    data = json.loads(path.read_text())
+    assert (data["done"], data["count"]) == (2013, 2013)
+
+
 def test_checkpoint_mismatch_rejected(tmp_path):
     # a checkpoint written for another solve order
     path = tmp_path / "dim16.json"
