@@ -5,6 +5,7 @@ import math
 import pickle
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,9 @@ from conftest import run_python
 from latmass.roots import (
     EMPTY,
     RootSystem,
+    _borcherds_mod,
+    _completion_table,
+    _component_types,
     _rank_counts,
     _walk,
     component_gram,
@@ -242,6 +246,68 @@ def test_walk_counts_and_top_bucket():
             assert got_counts == counts, (dim, lo)
             assert got[:lo] == [[]] * lo, (dim, lo)
             assert [seen(b) for b in got[lo:]] == [seen(b) for b in buckets[lo:]], (dim, lo)
+    # a walk that keeps only systems of rank max_rank skips the prefixes
+    # that no completion brings through the filters: below dim 32 only the
+    # Borcherds one, and at (12, 24) none, so there only the rank must fill
+    for max_rank, dim in ((9, 32), (17, 32), (25, 32), (31, 32), (12, 24)):
+        counts, buckets = _walk(max_rank, dim, 0)
+        got_counts, got = _walk(max_rank, dim, max_rank)
+        assert got_counts == counts, (max_rank, dim)
+        assert seen(got[max_rank]) == seen(buckets[max_rank]), (max_rank, dim)
+
+
+def test_completion_table_matches_every_multiset(monkeypatch):
+    # the table a walk filling the rank consults, at every type and budget
+    # up to 8, against every multiset of component types that fills it:
+    # each maps (squarefree part of the determinant, lcm of the moduli) of a
+    # system to the root counts mod width with which the multiset completes
+    # it through the filters, which are decided here by the determinant
+    # itself and by _borcherds_mod
+    def multisets(types, i, b):
+        if not b:
+            yield ()
+        for j in range(i, len(types)):
+            if types[j][1] <= b:
+                for rest in multisets(types, j, b - types[j][1]):
+                    yield (types[j], *rest)
+
+    def squarefree(n):
+        return next(q for q in range(1, n + 1) if not n % q and math.isqrt(n // q) ** 2 == n // q)
+
+    tables = []
+
+    def capture(*args):
+        tables.append(_completion_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr("latmass.roots._completion_table", capture)
+    for dim in (24, 32):
+        types = _component_types(dim)
+        mods = {_borcherds_mod(kind, r, dim) for kind, r in types}
+        lcms = {math.lcm(*sub) for k in range(len(mods) + 1) for sub in combinations(mods, k)}
+        _walk(dim, dim, dim)
+        width, table = tables.pop()
+        assert width == math.lcm(*mods), dim
+        # the root counts mod width that are -y mod m
+        hits = {
+            (m, y): sum(1 << x for x in range(width) if not (x + y) % m)
+            for m in lcms
+            for y in range(m)
+        }
+        for i in range(len(types) + 1):
+            for b in range(9):
+                want = {}
+                for parts in multisets(types, i, b):
+                    rs = RootSystem.from_parts(parts)
+                    m = math.lcm(*(_borcherds_mod(kind, r, dim) for kind, r in parts))
+                    for m0 in lcms:
+                        key, lcm = (squarefree(rs.det), m0), math.lcm(m0, m)
+                        want[key] = want.get(key, 0) | hits[lcm, rs.root_count % lcm]
+                got = {
+                    (math.prod(p for p in range(64) if key >> 6 >> p & 1), key & 63): mask
+                    for key, mask in table[i][b].items()
+                }
+                assert got == want, (dim, i, b)
 
 
 # systems per rank 0..32 of the filtered dim-32 solve list, recorded from
