@@ -270,22 +270,20 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     whose root count some component's Borcherds modulus does not divide.
     The filters are for the solve list, which needs only the systems that
     can carry mass; a listing of coefficients wants every system, so it
-    passes no dim, which is what filters=False amounts to.  It builds every
-    system of every rank, walking every prefix.  The serial solve, which
-    needs only the top rank at first, counts the ranks below it instead,
-    and once at most half the rank is left walks only the prefixes that
-    can still fill it and pass the filters (`_walk` with lo = max_rank)."""
+    passes no dim, which is what filters=False amounts to.  The list is
+    built whole, every system of every rank."""
     out = []
-    for bucket in _walk(max_rank, dim if filters else None, 0)[1]:
+    for bucket in _walk(max_rank, dim if filters else None, 0):
         out += bucket
     return out
 
 
 def _rank_counts(max_rank: int, dim: int | None) -> list[int]:
     """The number of systems `enumerate_systems` keeps at each rank
-    0..max_rank, for max_rank below dim, where the square-determinant filter
-    applies: every multiset of component types counts, and in dimension 32
-    only those whose root count the lcm of their Borcherds moduli divides.
+    0..max_rank: every multiset of component types counts, and in dimension
+    32 only those whose root count the lcm of their Borcherds moduli
+    divides.  The square-determinant filter at rank dim is not applied, so
+    with a dim, max_rank must lie below it.
 
     The systems are counted, not visited.  The types of modulus 1 (every
     type outside dimension 32) go into one unbounded-knapsack table, their
@@ -295,6 +293,8 @@ def _rank_counts(max_rank: int, dim: int | None) -> list[int]:
     listed, and each adds, at every rank it leaves room for, the table's
     count of the one residue that its own lcm accepts, read from the table
     folded to that lcm."""
+    if dim is not None and max_rank >= dim:
+        raise ValueError(f"max_rank must lie below dim {dim}, got {max_rank}")
     free, carrying = [], []
     for kind, r in _component_types(max_rank):
         mod = _borcherds_mod(kind, r, dim)
@@ -395,11 +395,9 @@ def _completion_table(types: list[tuple[int, int, int, int]], cap: int):
 
 def _walk(max_rank: int, dim: int | None, lo: int):
     """The systems `enumerate_systems` keeps, filtered for dim unless it is
-    None, as (counts, buckets): the number kept at each rank 0..max_rank,
-    and for each rank the list of them in solver order, built only at ranks
-    >= lo (empty below).  The ranks below lo are counted by `_rank_counts`,
-    not visited, so lo may not exceed dim, the one rank whose filter that
-    count cannot apply.
+    None, as one bucket per rank 0..max_rank, each the list of them in
+    solver order, built only at ranks >= lo (empty below), for lo in
+    0..min(max_rank, dim).
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It
@@ -410,7 +408,7 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     that fits only once ends the system, so there it only tests the
     filters, the root count first (8 in 10 of the dim-32 steps).  Only a
     system of rank >= lo is tested and kept: where lo = max_rank, as in the
-    serial solve, the types that fit once are tried only where their rank
+    solve, the types that fit once are tried only where their rank
     fills the budget left, and a type that fits twice is tested only where
     its multiple fills it, so the prefixes below are walked but no leaf of
     a lower rank is.
@@ -475,7 +473,6 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     set_components, set_name, set_rank, set_det, set_roots = (
         getattr(RootSystem, f).__set__ for f in ("components", "name", "rank", "det", "root_count")
     )
-    counts = (_rank_counts(lo - 1, dim) if lo else []) + [0] * (max_rank + 1 - lo)
     buckets: list[list[RootSystem]] = [[] for _ in range(max_rank + 1)]
     parts: list[tuple[str, int, int]] = []
 
@@ -542,7 +539,7 @@ def _walk(max_rank: int, dim: int | None, lo: int):
             stack.pop()
             parts.pop()
 
-    # the empty system passes every filter, and below lo it is counted
+    # the empty system passes every filter
     if not lo:
         buckets[0].append(EMPTY)
     build(0, max_rank, 1, 0, 1, 0)
@@ -550,8 +547,7 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     # the table need not
     del table
     by_name, by_det = attrgetter("name"), attrgetter("det")
-    for rank, bucket in enumerate(buckets):
+    for bucket in buckets:
         bucket.sort(key=by_name)
         bucket.sort(key=by_det, reverse=True)  # stable: names stay ascending
-        counts[rank] += len(bucket)
-    return counts, buckets
+    return buckets

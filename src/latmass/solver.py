@@ -20,7 +20,7 @@ from itertools import islice
 
 from .embeddings import rep_count
 from .exact import bernoulli
-from .roots import RootSystem, _walk, enumerate_systems
+from .roots import RootSystem, _rank_counts, _walk, enumerate_systems
 from .siegel import eisenstein_coefficient
 
 CHECKPOINT_EVERY = 500  # systems solved between checkpoint saves
@@ -64,7 +64,9 @@ class MassTable:
         """Write the table; a solve adds its run header (count, order_digest,
         done), and a file with done < count is a checkpoint.
         The masses digest lets a reader catch an edited mass even where the
-        genus total cannot, in an unfinished solve."""
+        genus total cannot, in an unfinished solve.  The file is written in
+        full and synced to disk before it replaces the old one, so a crash
+        leaves one table or the other, not a truncated file."""
         masses = {str(rs): str(m) for rs, m in self.rows()}
         data = {
             "version": 1,
@@ -77,6 +79,8 @@ class MassTable:
         with open(tmp, "w") as fh:
             json.dump(data, fh)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
 
     @classmethod
@@ -146,13 +150,12 @@ def solve_masses(
     """Solve the whole mass table for one dimension (a multiple of 8).
 
     The systems are solved from the largest down, each after every system
-    it can embed into.  A serial solve builds the systems of full rank
-    first and those of lower rank only when it reaches them, so a run
-    stopped early never enumerates them; their number, which `progress`
-    and the checkpoint header are given, is counted rank by rank without
-    visiting them (`roots._rank_counts`).  A pool (`workers` > 1) takes
-    every coefficient job up front, so it enumerates every system before
-    solving any.
+    it can embed into.  The systems of full rank are built first and those
+    of lower rank only when the solve reaches them, so a run stopped early
+    never enumerates them; their number, which `progress` and the
+    checkpoint header are given, is counted rank by rank without visiting
+    them (`roots._rank_counts`).  A pool (`workers` > 1) computes every
+    coefficient still to solve up front, and back-substitutes after.
 
     With `checkpoint`, the table so far is saved to that path every
     CHECKPOINT_EVERY systems and once finished, with a digest of the names
@@ -162,16 +165,9 @@ def solve_masses(
     solving anything.  Either path resumes a checkpoint the other wrote.
     """
     genus = genus_mass(dim)
-    parallel = bool(workers and workers > 1)
-    if parallel:
-        systems = enumerate_systems(dim, dim=dim)
-        count = len(systems)
-        todo = reversed(systems)
-    else:
-        counts, buckets = _walk(dim, dim, dim)
-        count = sum(counts)
-        todo = _largest_first(dim, buckets[dim])
-    # todo yields the systems still to solve, largest first
+    top = _walk(dim, dim, dim)[dim]
+    count = sum(_rank_counts(dim - 1, dim)) + len(top)
+    todo = _largest_first(dim, top)  # the systems still to solve, largest first
     done = 0
     nonzero: list[tuple[RootSystem, Fraction]] = []
     solved: list[str] = []  # names in solve order, kept only for the checkpoint digest
@@ -188,7 +184,7 @@ def solve_masses(
         # the pull sums below are exact, so their order does not matter
         nonzero = list(masses.items())
 
-    if parallel and done < count:
+    if workers and workers > 1 and done < count:
         # every coefficient is ready before back-substitution starts
         todo = list(todo)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,7 +192,7 @@ def solve_masses(
             values = list(pool.map(_coefficient_job, todo, [dim] * len(todo), chunksize=chunk))
         jobs = zip(todo, values)
     else:
-        # one pass over todo, which may be a generator
+        # todo is a generator, read once
         jobs = ((rs, eisenstein_coefficient(rs, dim)) for rs in todo)
 
     for rs, a in jobs:

@@ -98,6 +98,15 @@ def test_threads_out_of_range_exit_2(capsys, tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two CPUs")
+def test_threads_print_the_serial_table(capsys):
+    # the pool computes the coefficients of the same solve list
+    serial = run(capsys, "mass", "--dim", "16", "--format", "csv")
+    pooled = run(capsys, "mass", "--dim", "16", "--threads", "2", "--format", "csv")
+    assert serial[0] == pooled[0] == 0
+    assert pooled[1] == serial[1]
+
+
 def test_mass_json_round_trips_exactly(capsys):
     data = run_json(capsys, "mass", "--dim", "16")
     total = sum(Fraction(row["mass"]) for row in data["rows"])

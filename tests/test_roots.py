@@ -223,36 +223,34 @@ def test_enumeration_components():
 
 
 def test_walk_counts_and_top_bucket():
-    # the serial solve takes its count from the walk's per-rank counts and
-    # its list from the top bucket followed by the enumeration one rank short
+    # the solve takes its count from the top bucket and the counted lower
+    # ranks, and its list from the top bucket followed by the enumeration
+    # one rank short
     def seen(systems):
         return [(rs.components, rs.name, rs.rank, rs.det, rs.root_count) for rs in systems]
 
     for dim in (8, 16, 24, 32):
         full = enumerate_systems(dim, dim=dim)
-        counts, buckets = _walk(dim, dim, dim)
-        ranks = Counter(rs.rank for rs in full)
-        assert counts == [ranks[r] for r in range(dim + 1)], dim
-        assert sum(counts) == len(full), dim
+        buckets = _walk(dim, dim, dim)
+        assert len(buckets) == dim + 1, dim
         assert buckets[:dim] == [[]] * dim, dim
+        assert sum(_rank_counts(dim - 1, dim)) + len(buckets[dim]) == len(full), dim
         lower = enumerate_systems(dim - 1, dim=dim)
         assert seen(lower + buckets[dim]) == seen(full), dim
     # from any lo, the ranks >= lo are built as the whole walk builds them,
-    # and those below are only counted
+    # and those below are left empty
     for max_rank, dim in ((16, 16), (14, None)):
-        counts, buckets = _walk(max_rank, dim, 0)
+        buckets = _walk(max_rank, dim, 0)
         for lo in range(max_rank + 1):
-            got_counts, got = _walk(max_rank, dim, lo)
-            assert got_counts == counts, (dim, lo)
+            got = _walk(max_rank, dim, lo)
             assert got[:lo] == [[]] * lo, (dim, lo)
             assert [seen(b) for b in got[lo:]] == [seen(b) for b in buckets[lo:]], (dim, lo)
     # a walk that keeps only systems of rank max_rank skips the prefixes
     # that no completion brings through the filters: below dim 32 only the
     # Borcherds one, and at (12, 24) none, so there only the rank must fill
     for max_rank, dim in ((9, 32), (17, 32), (25, 32), (31, 32), (12, 24)):
-        counts, buckets = _walk(max_rank, dim, 0)
-        got_counts, got = _walk(max_rank, dim, max_rank)
-        assert got_counts == counts, (max_rank, dim)
+        buckets = _walk(max_rank, dim, 0)
+        got = _walk(max_rank, dim, max_rank)
         assert seen(got[max_rank]) == seen(buckets[max_rank]), (max_rank, dim)
 
 
@@ -329,8 +327,7 @@ def test_rank_counts_match_the_walk():
     for max_rank in range(25):
         assert _rank_counts(max_rank, None) == [ranks[r] for r in range(max_rank + 1)]
     assert sum(RANKS_32) == 135443
-    assert _rank_counts(31, 32) == RANKS_32[:32]
-    assert _walk(32, 32, 32)[0] == RANKS_32
+    assert _rank_counts(31, 32) + [len(_walk(32, 32, 32)[32])] == RANKS_32
 
 
 def test_root_system_is_a_slotted_value():
@@ -407,6 +404,7 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: roots.component_gram('D', 3),\n"
         "    lambda: roots.enumerate_systems(-1),\n"
         "    lambda: roots._walk(16, 8, 9),\n"
+        "    lambda: roots._rank_counts(16, 16),\n"
         "    lambda: roots._walk(8, None, 9),\n"
         "    lambda: rep_count(R('Z'), R('A1')),\n"
         "    lambda: rep_count(R('A1'), R('Z A1')),\n"

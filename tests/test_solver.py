@@ -2,11 +2,12 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
-from latmass.roots import RootSystem, _walk, enumerate_systems
+from latmass.roots import RootSystem, _rank_counts, _walk, enumerate_systems
 from latmass.solver import (
     CheckpointMismatch,
     MassTable,
@@ -49,16 +50,21 @@ def test_solve_dimension_16():
 def test_filters_drop_only_zero_masses(monkeypatch, table8, table16):
     # the solve enumerates with the square-determinant and Borcherds filters;
     # on the full list the dropped systems must come out with mass 0.  The
-    # serial solve reads its top rank and count from the walk and the rest
-    # from enumerate_systems, so both are patched
+    # solve reads its top rank from the walk, its count of the lower ranks
+    # from _rank_counts and their list from enumerate_systems, so all three
+    # are patched
     def unfiltered(max_rank, dim=None):
         return enumerate_systems(max_rank, dim=dim, filters=False)
 
     def unfiltered_walk(max_rank, dim, lo):
         return _walk(max_rank, None, lo)
 
+    def unfiltered_counts(max_rank, dim):
+        return _rank_counts(max_rank, None)
+
     monkeypatch.setattr("latmass.solver.enumerate_systems", unfiltered)
     monkeypatch.setattr("latmass.solver._walk", unfiltered_walk)
+    monkeypatch.setattr("latmass.solver._rank_counts", unfiltered_counts)
     for filtered in (table8, table16):
         d = filtered.dim
         counts, solved = set(), []
@@ -168,6 +174,30 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         solve_masses(16, checkpoint=str(path))
 
 
+def test_save_syncs_before_replacing(tmp_path, monkeypatch):
+    # the temp file is written in full and synced before it is renamed over
+    # the table, so a crash cannot leave a truncated table behind
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", stat.st_ino, stat.st_size))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        stat = os.stat(src)
+        events.append(("replace", stat.st_ino, stat.st_size))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    path = tmp_path / "table.json"
+    solve_masses(8).save(str(path))
+    stat = path.stat()
+    assert events == [("fsync", stat.st_ino, stat.st_size), ("replace", stat.st_ino, stat.st_size)]
+
+
 def test_mass_table_save_load(tmp_path):
     table = solve_masses(16)
     path = str(tmp_path / "table.json")
@@ -178,21 +208,29 @@ def test_mass_table_save_load(tmp_path):
 
 
 def test_workers_match_serial(tmp_path):
-    # the streamed serial solve and the pool build their solve lists
-    # differently, with or without a checkpoint, but must solve the same
-    # systems to one table
-    tables, counts = [], []
+    # serial or pool, with or without a checkpoint, a solve takes the same
+    # solve list: it must give progress the same systems in the same order,
+    # the enumeration's reversed, and solve them to one table
+    tables, counts, orders = [], [], []
     for kwargs in (
         {},
         {"workers": 2},
         {"checkpoint": str(tmp_path / "serial.json")},
         {"workers": 2, "checkpoint": str(tmp_path / "pool.json")},
     ):
-        seen = set()
-        tables.append(solve_masses(16, progress=lambda done, count, rs, m: seen.add(count), **kwargs))
+        seen, order = set(), []
+
+        def progress(done, count, rs, m):
+            seen.add(count)
+            order.append(str(rs))
+
+        tables.append(solve_masses(16, progress=progress, **kwargs))
         counts.append(seen)
+        orders.append(order)
     assert all(table.masses == tables[0].masses for table in tables)
     assert counts == [{2013}] * 4
+    names = [str(rs) for rs in enumerate_systems(16, dim=16)]
+    assert orders == [names[::-1]] * 4
 
 
 @pytest.mark.parametrize("first, then", [({}, {"workers": 2}), ({"workers": 2}, {})])
