@@ -12,11 +12,13 @@ and the recursion runs on systems written as the sorted tuple of their
 codes, one per copy: A1^2 D4 is (0, 0, 4).  The largest component is the
 last code, and a code's rank and root count are list lookups.  A system is
 also a packed multiplicity integer, whose 8-bit field c holds the count of
-code c: A1^2 D4 is 2 + (1 << 8*4).  rep_count converts each RootSystem
-once, through `_CODES`, a cache keyed by name whose one entry per system
-holds its codes, its packed counts and its packed capacities (below),
-all made in one pass over its components.  Fields stay below 128 only
-while ranks do, so a system of rank 128 or more raises ValueError.
+code c: A1^2 D4 is 2 + (1 << 8*4).  A system's entry holds its codes,
+its packed counts and its packed capacities (below), all made in one pass
+over its components.  Callers ask for one source in a run of consecutive
+calls against targets that recur, so rep_count keeps the current source's
+entry in a one-entry slot, `_source`, and only the targets' in `_CODES`,
+a cache keyed by name.  Fields stay below 128 only while ranks do, so a
+system of rank 128 or more raises ValueError.
 
 Rows.  For each (source code, target code) pair the table `_ROWS` keeps
 one row per way of placing the source component in the target component:
@@ -34,10 +36,14 @@ for one component it is the best over the rows of c in it of one plus the
 capacity of the complement, since the other copies lie in the complement
 of the first (as in Dynkin's subsystem tables).  `_CAPS[x]` packs cap_c(x)
 for every c, so a system's capacities are a sum over its components.  If
-S embeds in T then T holds mult_S(c) orthogonal copies of each c, so
-rep_count returns 0 at once when some field of S's counts exceeds T's
-capacities.  The test is one subtraction: with every field's top (guard)
-bit set in T's capacities, a field that S exceeds borrows its guard bit.
+S embeds in T then cap_c(S) <= cap_c(T) for every c: an embedding extends
+linearly to an isometry of root lattices, whose norm-2 vectors are the
+roots, so it carries mutually orthogonal copies of c in S to mutually
+orthogonal copies in T.  So rep_count returns 0 at once when some field
+of S's capacities exceeds T's.  This is stronger than comparing S's
+counts, since cap_c(S) >= mult_S(c).  The test is one subtraction: with
+every field's top (guard) bit set in T's capacities, a field that S
+exceeds borrows its guard bit.
 
 Memo.  Sub-problems are memoised per sub-source, keyed by the packed counts
 of the target: `_MEMO[sub][key]`, so one `_count` call looks its
@@ -215,10 +221,12 @@ def _cap(c: int, x: int) -> int:
     )
 
 
-_CODES: dict[str, tuple[tuple, int, int]] = {}  # RootSystem name -> codes, counts, capacities
+_CODES: dict[str, tuple[tuple, int, int]] = {}  # target name -> codes, counts, capacities
+_source: tuple = (None, None)  # the last source's name and its _codes entry
 _MEMO: dict[tuple, dict[int, int]] = {}  # sub-source -> packed target -> count
 _MEMO_CAP = 1 << 20
 _stored = 0  # entries in _MEMO, summed over its rows
+_NO_ROW: dict[int, int] = {}  # read for a sub-source with no row yet; never written
 
 
 def _clear() -> None:
@@ -231,13 +239,10 @@ def _clear() -> None:
 
 def _codes(rs: RootSystem) -> tuple[tuple, int, int]:
     """A system's sorted codes, one per copy of each component, its packed
-    counts and its packed capacities, added to the cache; rep_count reads
-    the cache itself first.  A type new to the table grows it, which keeps
-    the codes and capacities of the types before it."""
+    counts and its packed capacities.  A type new to the table grows it,
+    which keeps the codes and capacities of the types before it."""
     if rs.rank > _MAX_RANK:
         raise ValueError(f"rep_count: {rs} has rank {rs.rank}, above {_MAX_RANK}")
-    if len(_CODES) >= _MEMO_CAP:
-        _clear()
     codes: list[int] = []
     counts = caps = 0
     for kind, rank, mult in rs.components:
@@ -249,7 +254,15 @@ def _codes(rs: RootSystem) -> tuple[tuple, int, int]:
         codes += [c] * mult
         counts += mult << _FIELD * c
         caps += mult * _CAPS[c]
-    entry = _CODES[rs.name] = tuple(codes), counts, caps
+    return tuple(codes), counts, caps
+
+
+def _target(rs: RootSystem) -> tuple[tuple, int, int]:
+    """A target's _codes entry, added to the cache; rep_count reads the
+    cache itself first."""
+    if len(_CODES) >= _MEMO_CAP:
+        _clear()
+    entry = _CODES[rs.name] = _codes(rs)
     return entry
 
 
@@ -258,16 +271,20 @@ def rep_count(source: RootSystem, target: RootSystem) -> int:
     source into the roots of the target.  Both must have rank at most
     127, so that a packed count or capacity fits its field; a larger rank
     raises ValueError."""
-    s, s_counts, _ = _CODES.get(source.name) or _codes(source)
-    t, t_counts, t_caps = _CODES.get(target.name) or _codes(target)
+    global _source
+    if source.name != _source[0]:
+        _source = source.name, _codes(source)
+    s, _, s_caps = _source[1]
+    t, t_counts, t_caps = _CODES.get(target.name) or _target(target)
     if not s:
         return 1
     if source.rank > target.rank or source.root_count > target.root_count:
         return 0
-    # the target must hold as many orthogonal copies of each component type
-    # as the source has: a field of the capacities that the counts exceed
-    # borrows its guard bit
-    if ((t_caps | _GUARD) - s_counts) & _GUARD != _GUARD:
+    # an embedding carries orthogonal copies of each component type in the
+    # source to orthogonal copies in the target, so the target's capacities
+    # must cover the source's: a field that the source's exceeds borrows
+    # its guard bit
+    if ((t_caps | _GUARD) - s_caps) & _GUARD != _GUARD:
         return 0
     return _count(s, t, t_counts, source.rank, source.root_count, target.rank, target.root_count)
 
@@ -298,35 +315,36 @@ def _count(
     are given and fit: the source's are at most the target's.  key is the
     target's packed counts."""
     s = source[-1]
-    sub = source[:-1]
     rows = _ROWS[s]
     # a component fits only in components of its rank or more and, at its
     # own rank, of its own kind or a later one: no code below its own
     i, n = bisect_left(target, s), len(target)
     total = 0
-    if not sub:
+    if len(source) == 1:
         for t in target[i:]:
             for row in rows[t]:
                 total += row[0]
         return total
+    sub = source[:-1]
     sub_rank = s_rank - _RANK[s]
     sub_roots = s_roots - _ROOTS[s]
-    memo = _MEMO.get(sub, {})
+    memo = _MEMO.get(sub, _NO_ROW)
     while i < n:
         t = target[i]
         j = bisect_right(target, t, i)
         for weight, complement, d_rank, d_roots, d_key in rows[t]:
-            if sub_rank <= t_rank + d_rank and sub_roots <= t_roots + d_roots:
+            rank = t_rank + d_rank
+            roots = t_roots + d_roots
+            if sub_rank <= rank and sub_roots <= roots:
                 new_key = key + d_key
                 c = memo.get(new_key)
                 if c is None:
                     new = target[:i] + target[i + 1 :]
                     if complement:
                         new = tuple(sorted(new + complement))
-                    c = _count(
-                        sub, new, new_key, sub_rank, sub_roots, t_rank + d_rank, t_roots + d_roots
-                    )
+                    c = _count(sub, new, new_key, sub_rank, sub_roots, rank, roots)
                     memo = _store(sub, new_key, c)
-                total += (j - i) * weight * c
+                if c:
+                    total += (j - i) * weight * c
         i = j
     return total

@@ -84,14 +84,18 @@ def test_component_rows_basics():
 
 
 def test_against_brute_force():
+    # the capacity test rep_count applies first passes every pair that
+    # embeds: each field of the source's capacities fits the target's
     targets = ["A4", "D4", "A5", "D5", "A2^2", "A1 D4", "E6"]
     for tname in targets:
         target = parse(tname)
+        t_caps = embeddings._codes(target)[2]
         for source in enumerate_systems(target.rank):
-            assert rep_count(source, target) == brute_rep(source, target), (
-                str(source),
-                tname,
-            )
+            n = brute_rep(source, target)
+            assert rep_count(source, target) == n, (str(source), tname)
+            if n:
+                s_caps, guard = embeddings._codes(source)[2], embeddings._GUARD
+                assert ((t_caps | guard) - s_caps) & guard == guard, (str(source), tname)
 
 
 def test_matches_eisenstein_in_dimension_8():
@@ -211,23 +215,32 @@ def test_capacity_matches_recursion():
 
 def test_capacity_rejects_no_embedding(table16, table24):
     # every pair the dims 16 and 24 solves ask for that passes the rank and
-    # root count cut but fails the capacity test counts 0 in the recursion
+    # root count cut but fails the capacity test counts 0 in the recursion,
+    # which applies no capacity test.  rep_count compares the source's
+    # capacities with the target's; comparing the source's counts instead,
+    # which never exceed its capacities, rejects a subset of those pairs
     guard = embeddings._GUARD
+    rejected = {}
     for table in (table16, table24[0]):
-        nonzero, rejected = [], 0
+        nonzero, by_counts, by_caps = [], 0, 0
         for rs in reversed(enumerate_systems(table.dim, dim=table.dim)):
             s, s_counts, s_caps = embeddings._codes(rs)
             for t_rs, t, t_counts, t_caps in nonzero:
                 if rs.rank > t_rs.rank or rs.root_count > t_rs.root_count:
                     continue
-                if ((t_caps | guard) - s_counts) & guard != guard:
+                counts_fail = ((t_caps | guard) - s_counts) & guard != guard
+                caps_fail = ((t_caps | guard) - s_caps) & guard != guard
+                assert caps_fail or not counts_fail, (rs, t_rs)
+                if caps_fail:
                     args = (rs.rank, rs.root_count, t_rs.rank, t_rs.root_count)
                     assert embeddings._count(s, t, t_counts, *args) == 0, (rs, t_rs)
                     assert rep_count(rs, t_rs) == 0
-                    rejected += 1
+                by_counts += counts_fail
+                by_caps += caps_fail
             if table.mass(rs):
                 nonzero.append((rs, s, s_counts, s_caps))
-        assert rejected > 500, table.dim
+        rejected[table.dim] = by_counts, by_caps
+    assert rejected == {16: (574, 647), 24: (258953, 300249)}
 
 
 def test_codes_while_the_table_grows(monkeypatch):
@@ -279,6 +292,7 @@ def fresh_memo(monkeypatch, cap=None):
     """An empty memo and code cache for this test, restored after it."""
     monkeypatch.setattr(embeddings, "_MEMO", {})
     monkeypatch.setattr(embeddings, "_CODES", {})
+    monkeypatch.setattr(embeddings, "_source", (None, None))
     monkeypatch.setattr(embeddings, "_stored", 0)
     if cap is not None:
         monkeypatch.setattr(embeddings, "_MEMO_CAP", cap)
@@ -290,23 +304,30 @@ def memo_entries():
 
 
 def test_memo_cap_clears(monkeypatch):
-    pairs = dim16_pairs()
+    # the dim-16 sources against D16 and E8^2 fill the memo; A1 against 40
+    # dim-16 systems gives the code cache more targets than the cap
+    pairs = dim16_pairs() + [(parse("A1"), t) for t in enumerate_systems(16, dim=16)[-40:]]
     want = [rep_count(s, t) for s, t in pairs]
+    targets = {t.name for _, t in pairs}
     fresh_memo(monkeypatch, cap=16)
     got, sizes = [], []
     for s, t in pairs:
         got.append(rep_count(s, t))
         sizes.append((len(memo_entries()), embeddings._stored, len(embeddings._CODES)))
-        # a cached entry holds its system's counts and capacities beside its
+        # the slot holds the current source's entry and the cache only
+        # targets' (a clear inside the recursion may have dropped this
+        # one), each with its system's counts and capacities beside its
         # codes, so the cap bounds and clears all three at once
-        for codes, counts, caps in embeddings._CODES.values():
+        assert embeddings._source[0] == s.name
+        assert set(embeddings._CODES) <= targets
+        for codes, counts, caps in [embeddings._source[1], *embeddings._CODES.values()]:
             assert counts == sum(1 << 8 * c for c in codes)
             assert caps == sum(embeddings._CAPS[c] for c in codes)
     assert got == want
     # the cap bounds the stored entries, summed over rows, and the codes
     assert all(entries == stored <= 16 and codes <= 16 for entries, stored, codes in sizes)
     assert max(entries for entries, _, _ in sizes) > 0
-    assert len({s for s, _ in pairs}) > 16  # so the code cache was cleared
+    assert len(targets) > 16  # so the code cache was cleared
 
 
 def test_memo_holds_only_sub_problems(monkeypatch):
