@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 
+from .exact import factorize
+
 _KIND_ORDER = {"Z": -1, "A": 0, "D": 1, "E": 2}
 _TOKEN = re.compile(r"^([ADE])(-?\d+)(?:\^(\d+))?$|^(Z)(?:\^(\d+))?$")
 
@@ -270,12 +272,10 @@ def enumerate_systems(max_rank: int, dim: int | None = None, filters: bool = Tru
     whose root count some component's Borcherds modulus does not divide.
     The filters are for the solve list, which needs only the systems that
     can carry mass; a listing of coefficients wants every system, so it
-    passes no dim, which is what filters=False amounts to.  The list is
-    built whole, every system of every rank."""
-    out = []
-    for bucket in _walk(max_rank, dim if filters else None, 0):
-        out += bucket
-    return out
+    passes no dim, which is what filters=False amounts to.  A dim below
+    max_rank raises ValueError: no lattice of that dimension holds the
+    systems of a higher rank."""
+    return _walk(max_rank, dim if filters else None, False)
 
 
 def _rank_counts(max_rank: int, dim: int | None) -> list[int]:
@@ -335,13 +335,7 @@ def _rank_counts(max_rank: int, dim: int | None) -> list[int]:
 def _square_class(n: int) -> int:
     """The primes that divide n to an odd power, bit p for the prime p: two
     numbers' product is a square exactly where their classes agree."""
-    sq, p = 0, 2
-    while n > 1:
-        while not n % p:
-            n //= p
-            sq ^= 1 << p
-        p += 1
-    return sq
+    return sum(1 << p for p, e in factorize(n).items() if e % 2)
 
 
 def _completion_table(types: list[tuple[int, int, int, int]], cap: int):
@@ -393,11 +387,11 @@ def _completion_table(types: list[tuple[int, int, int, int]], cap: int):
     return width, table
 
 
-def _walk(max_rank: int, dim: int | None, lo: int):
+def _walk(max_rank: int, dim: int | None, top: bool) -> list[RootSystem]:
     """The systems `enumerate_systems` keeps, filtered for dim unless it is
-    None, as one bucket per rank 0..max_rank, each the list of them in
-    solver order, built only at ranks >= lo (empty below), for lo in
-    0..min(max_rank, dim).
+    None, as one list in solver order: those of every rank 0..max_rank, or
+    with top only those of rank max_rank.  A dim below max_rank raises
+    ValueError.
 
     One recursion adds components in canonical (rank, kind) order, so the
     components it has pushed already are the RootSystem's components.  It
@@ -406,12 +400,12 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     before pushing it.  At each step it first tries the types that fit
     twice into the rank left, recursing while a further type fits; a type
     that fits only once ends the system, so there it only tests the
-    filters, the root count first (8 in 10 of the dim-32 steps).  Only a
-    system of rank >= lo is tested and kept: where lo = max_rank, as in the
-    solve, the types that fit once are tried only where their rank
-    fills the budget left, and a type that fits twice is tested only where
-    its multiple fills it, so the prefixes below are walked but no leaf of
-    a lower rank is.
+    filters, the root count first (8 in 10 of the dim-32 steps).  With top,
+    as in the solve, only a system of rank max_rank is tested and kept: the
+    types that fit once are tried only where their rank fills the budget
+    left, and a type that fits twice is tested only where its multiple
+    fills it, so the prefixes below are walked but no leaf of a lower rank
+    is.
 
     There, with a dim, a component is pushed only if some completion can
     still pass the filters.  Once the budget left is at most cap =
@@ -433,21 +427,21 @@ def _walk(max_rank: int, dim: int | None, lo: int):
     invariants and the name it would derive, and goes into its rank's
     bucket.  Each bucket is sorted twice, stably: on the name, then on the
     determinant, descending.  Names are unique, so that is the order on
-    (-det, name), and each sort compares one field only."""
+    (-det, name), and each sort compares one field only.  The buckets are
+    joined in rank order."""
     if max_rank < 0:
         raise ValueError(f"max_rank must be at least 0, got {max_rank}")
-    top = max_rank if dim is None else min(max_rank, dim)
-    if not 0 <= lo <= top:
-        raise ValueError(f"lo must lie in 0..{top}, got {lo}")
-    slack = max_rank - lo  # the most budget a kept system leaves unused
+    if dim is not None and dim < max_rank:
+        raise ValueError(f"max_rank {max_rank} lies above dim {dim}")
+    slack = 0 if top else max_rank  # the most budget a kept system leaves unused
     # budget left when a system reaches rank dim; -1 (never) without a dim
     full_left = max_rank - dim if dim is not None else -1
     a_names, d_names, e_names = [], [], []
     names = {"A": a_names, "D": d_names, "E": e_names}
     comps = _component_types(max_rank)
-    # a walk that keeps only systems of rank max_rank looks up the budgets
-    # up to cap in the completion table; -1 looks up none
-    exact = dim is not None and lo == max_rank
+    # a top walk with a dim looks up the budgets up to cap in the
+    # completion table; -1 looks up none
+    exact = dim is not None and top
     cap = max_rank // 2 if exact else -1
     square = exact and not full_left  # every kept system must have a square det
     # per component type, in canonical order: (Borcherds modulus, name
@@ -467,7 +461,7 @@ def _walk(max_rank: int, dim: int | None, lo: int):
         invariants.append((r, roots, mod, sq))
     width, table = _completion_table(invariants, cap) if exact else (1, [])
     fit = [sum(r <= b for _, r in comps) for b in range(max_rank + 1)]  # types of rank <= b
-    # per budget, the first type that can end a system of rank >= lo there
+    # per budget, the first type that can end a kept system there
     least = [fit[max(b - slack - 1, 0)] for b in range(max_rank + 1)]
     new = object.__new__
     set_components, set_name, set_rank, set_det, set_roots = (
@@ -523,7 +517,7 @@ def _walk(max_rank: int, dim: int | None, lo: int):
                 stack.pop()
                 parts.pop()
         # then of the types that fit once, which end the system, from the
-        # first whose rank brings it to lo
+        # first that leaves at most slack
         for j in range(max(twice, least[budget]), fit[budget]):
             r_mod, stack, steps = types[j]
             used, cdet, croots, _, token, part = steps[0]
@@ -540,14 +534,16 @@ def _walk(max_rank: int, dim: int | None, lo: int):
             parts.pop()
 
     # the empty system passes every filter
-    if not lo:
+    if max_rank <= slack:
         buckets[0].append(EMPTY)
     build(0, max_rank, 1, 0, 1, 0)
     # build refers to itself, so its cells live until a full collection;
     # the table need not
     del table
     by_name, by_det = attrgetter("name"), attrgetter("det")
+    out = []
     for bucket in buckets:
         bucket.sort(key=by_name)
         bucket.sort(key=by_det, reverse=True)  # stable: names stay ascending
-    return buckets
+        out += bucket
+    return out

@@ -165,7 +165,7 @@ def solve_masses(
     solving anything.  Either path resumes a checkpoint the other wrote.
     """
     genus = genus_mass(dim)
-    top = _walk(dim, dim, dim)[dim]
+    top = _walk(dim, dim, True)
     count = sum(_rank_counts(dim - 1, dim)) + len(top)
     todo = _largest_first(dim, top)  # the systems still to solve, largest first
     done = 0

@@ -223,35 +223,27 @@ def test_enumeration_components():
 
 
 def test_walk_counts_and_top_bucket():
-    # the solve takes its count from the top bucket and the counted lower
-    # ranks, and its list from the top bucket followed by the enumeration
-    # one rank short
+    # the solve takes its count from the top walk and the counted lower
+    # ranks, and its list from the top walk followed by the enumeration one
+    # rank short
     def seen(systems):
         return [(rs.components, rs.name, rs.rank, rs.det, rs.root_count) for rs in systems]
 
     for dim in (8, 16, 24, 32):
         full = enumerate_systems(dim, dim=dim)
-        buckets = _walk(dim, dim, dim)
-        assert len(buckets) == dim + 1, dim
-        assert buckets[:dim] == [[]] * dim, dim
-        assert sum(_rank_counts(dim - 1, dim)) + len(buckets[dim]) == len(full), dim
+        top = _walk(dim, dim, True)
+        assert seen(top) == seen(rs for rs in full if rs.rank == dim), dim
+        assert sum(_rank_counts(dim - 1, dim)) + len(top) == len(full), dim
         lower = enumerate_systems(dim - 1, dim=dim)
-        assert seen(lower + buckets[dim]) == seen(full), dim
-    # from any lo, the ranks >= lo are built as the whole walk builds them,
-    # and those below are left empty
-    for max_rank, dim in ((16, 16), (14, None)):
-        buckets = _walk(max_rank, dim, 0)
-        for lo in range(max_rank + 1):
-            got = _walk(max_rank, dim, lo)
-            assert got[:lo] == [[]] * lo, (dim, lo)
-            assert [seen(b) for b in got[lo:]] == [seen(b) for b in buckets[lo:]], (dim, lo)
+        assert seen(lower + top) == seen(full), dim
     # a walk that keeps only systems of rank max_rank skips the prefixes
     # that no completion brings through the filters: below dim 32 only the
-    # Borcherds one, and at (12, 24) none, so there only the rank must fill
-    for max_rank, dim in ((9, 32), (17, 32), (25, 32), (31, 32), (12, 24)):
-        buckets = _walk(max_rank, dim, 0)
-        got = _walk(max_rank, dim, max_rank)
-        assert seen(got[max_rank]) == seen(buckets[max_rank]), (max_rank, dim)
+    # Borcherds one, at (12, 24) none, so there only the rank must fill, and
+    # without a dim it builds no completion table
+    for max_rank, dim in ((9, 32), (17, 32), (25, 32), (31, 32), (12, 24), (14, None)):
+        full = _walk(max_rank, dim, False)
+        got = _walk(max_rank, dim, True)
+        assert seen(got) == seen(rs for rs in full if rs.rank == max_rank), (max_rank, dim)
 
 
 def test_completion_table_matches_every_multiset(monkeypatch):
@@ -283,7 +275,7 @@ def test_completion_table_matches_every_multiset(monkeypatch):
         types = _component_types(dim)
         mods = {_borcherds_mod(kind, r, dim) for kind, r in types}
         lcms = {math.lcm(*sub) for k in range(len(mods) + 1) for sub in combinations(mods, k)}
-        _walk(dim, dim, dim)
+        _walk(dim, dim, True)
         width, table = tables.pop()
         assert width == math.lcm(*mods), dim
         # the root counts mod width that are -y mod m
@@ -327,7 +319,7 @@ def test_rank_counts_match_the_walk():
     for max_rank in range(25):
         assert _rank_counts(max_rank, None) == [ranks[r] for r in range(max_rank + 1)]
     assert sum(RANKS_32) == 135443
-    assert _rank_counts(31, 32) + [len(_walk(32, 32, 32)[32])] == RANKS_32
+    assert _rank_counts(31, 32) + [len(_walk(32, 32, True))] == RANKS_32
 
 
 def test_root_system_is_a_slotted_value():
@@ -403,9 +395,9 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: roots.system_gram(R('Z A1')),\n"
         "    lambda: roots.component_gram('D', 3),\n"
         "    lambda: roots.enumerate_systems(-1),\n"
-        "    lambda: roots._walk(16, 8, 9),\n"
+        "    lambda: roots._walk(16, 8, True),\n"
+        "    lambda: roots.enumerate_systems(10, dim=8),\n"
         "    lambda: roots._rank_counts(16, 16),\n"
-        "    lambda: roots._walk(8, None, 9),\n"
         "    lambda: rep_count(R('Z'), R('A1')),\n"
         "    lambda: rep_count(R('A1'), R('Z A1')),\n"
         "    lambda: rep_count(R('Z^3'), R('A1')),\n"

@@ -56,8 +56,8 @@ def test_filters_drop_only_zero_masses(monkeypatch, table8, table16):
     def unfiltered(max_rank, dim=None):
         return enumerate_systems(max_rank, dim=dim, filters=False)
 
-    def unfiltered_walk(max_rank, dim, lo):
-        return _walk(max_rank, None, lo)
+    def unfiltered_walk(max_rank, dim, top):
+        return _walk(max_rank, None, top)
 
     def unfiltered_counts(max_rank, dim):
         return _rank_counts(max_rank, None)
