@@ -25,7 +25,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .embeddings import rep_count
+from .embeddings import Targets, rep_count
 from .exact import det, factorize
 from .padic import jordan_decompose
 from .reduction import class_lower_bound, even_class_bound, reduce_masses
@@ -375,6 +375,19 @@ def cmd_verify(args) -> None:
             rs = RootSystem.parse(name)
             expect(eisenstein_coefficient(rs, 8) == rep_count(rs, e8), name)
 
+    def admit_filter_matches_rep_count():
+        # every dim-16 system against the systems of rank 16: a target the
+        # solve's filter rejects must count 0
+        systems = enumerate_systems(16, dim=16)
+        targets = [rs for rs in systems if rs.rank == 16]
+        index = Targets()
+        for t in targets:
+            index.add(t, 1)
+        for rs in systems:
+            admitted = {t.name for t, _ in index.admit(rs)}
+            missed = [str(t) for t in targets if t.name not in admitted and rep_count(rs, t)]
+            expect(not missed, f"{rs} in {missed}")
+
     def reduction_identities():
         reduced = reduce_masses(table16())
         expect(reduced.mass(0, EMPTY) == 1, "dimension 0")
@@ -384,6 +397,7 @@ def cmd_verify(args) -> None:
     check("dim8_single_class", dim8_single_class)
     check("dim16_total_and_bound", dim16_total_and_bound)
     check("coefficients_equal_embedding_counts", coeff_matches_embeddings)
+    check("admit_filter_matches_rep_count", admit_filter_matches_rep_count)
     check("reduction_identities", reduction_identities)
     _emit(("check", "status", "seconds"), rows, args, "verify")
     if failures:

@@ -45,6 +45,17 @@ counts, since cap_c(S) >= mult_S(c).  The test is one subtraction: with
 every field's top (guard) bit set in T's capacities, a field that S
 exceeds borrows its guard bit.
 
+Filtering.  rep_count's top tests (rank, root count, capacities) answer
+most of the pairs a solve visits, each after a Python call.  So a solve
+keeps its nonzero targets in a `Targets` index, with their ranks, root
+counts and capacities, and `Targets.admit` runs the three tests inline in
+one loop over them; the solver calls rep_count only on the targets it
+admits.  The guard is read at each admit, after the source's entry is
+made: making it may grow the table and with it the guard, so capacities
+stored with an older guard folded in would fail every pair.  rep_count
+keeps its top tests for the callers that ask for single pairs (`latmass
+emb`, the benchmark's pull rows).
+
 Memo.  Sub-problems are memoised per sub-source, keyed by the packed counts
 of the target: `_MEMO[sub][key]`, so one `_count` call looks its
 sub-source's row up once, and a branch's key is the parent's key plus the
@@ -264,6 +275,40 @@ def _target(rs: RootSystem) -> tuple[tuple, int, int]:
         _clear()
     entry = _CODES[rs.name] = _codes(rs)
     return entry
+
+
+class Targets:
+    """The nonzero targets of a solve, each with an integer weight (its
+    mass times a common denominator), indexed for `admit`."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: list[tuple] = []  # (rank, root count, capacities, system, weight)
+
+    def add(self, target: RootSystem, weight: int) -> None:
+        caps = _codes(target)[2]
+        self._rows.append((target.rank, target.root_count, caps, target, weight))
+
+    def scale(self, k: int) -> None:
+        """Multiply every weight by k."""
+        self._rows = [(rank, roots, caps, t, w * k) for rank, roots, caps, t, w in self._rows]
+
+    def admit(self, source: RootSystem) -> list[tuple[RootSystem, int]]:
+        """The (target, weight) pairs whose target passes rep_count's rank,
+        root count and capacity tests for this source: every target that
+        source can embed in, and some it cannot."""
+        global _source
+        if source.name != _source[0]:
+            _source = source.name, _codes(source)
+        s_caps = _source[1][2]
+        guard = _GUARD  # read after the source's entry, which may grow it
+        s_rank, s_roots = source.rank, source.root_count
+        return [
+            (t, w)
+            for rank, roots, caps, t, w in self._rows
+            if s_rank <= rank and s_roots <= roots and ((caps | guard) - s_caps) & guard == guard
+        ]
 
 
 def rep_count(source: RootSystem, target: RootSystem) -> int:

@@ -6,6 +6,14 @@ linear system: summing rep_count(R, R') m(R') over all root systems R'
 Eisenstein coefficient times the total mass of the genus.  Solving from
 the largest system downwards gives every m(R) in exact arithmetic; the
 empty system comes out last and forces the table to sum to the genus mass.
+
+The back-substitution runs in integers.  With the genus mass G/D in lowest
+terms, each nonzero mass m is kept as M = m*D, an int: every mass at dims 8,
+16, 24 and 32 has a denominator dividing D.  Nothing proves that it must,
+so a mass whose M would not be an integer grows D to the lcm of D and its
+denominator, and every stored M with it; exactness never rests on the
+observation.  The pull loop asks rep_count only for the targets that
+embeddings.Targets admits.
 """
 
 from __future__ import annotations
@@ -17,13 +25,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
-from .embeddings import rep_count
+from .embeddings import Targets, rep_count
 from .exact import bernoulli
 from .roots import RootSystem, _rank_counts, _walk, enumerate_systems
 from .siegel import eisenstein_coefficient
 
 CHECKPOINT_EVERY = 500  # systems solved between checkpoint saves
+ZERO = Fraction(0)  # the mass progress is given for every system of mass 0
 
 
 def genus_mass(dim: int) -> Fraction:
@@ -157,6 +167,15 @@ def solve_masses(
     them (`roots._rank_counts`).  A pool (`workers` > 1) computes every
     coefficient still to solve up front, and back-substitutes after.
 
+    Each system's coefficient a = p/q gives its mass as (G*p - pull*q) /
+    (D*q*|Aut|), where G/D is the genus mass and pull is the sum of
+    rep_count times M = m*D over the nonzero masses found before it, all
+    in integers.  A numerator of 0 is a mass of 0, found with no division.
+    A nonzero mass whose M is not an integer grows D to the lcm of D and
+    its denominator, and every stored M is rescaled; a resumed checkpoint's
+    masses are converted the same way.  Each nonzero mass is made a
+    Fraction once, for the checkpoints and the returned table.
+
     With `checkpoint`, the table so far is saved to that path every
     CHECKPOINT_EVERY systems and once finished, with a digest of the names
     of the systems solved so far, in enumeration order.  A file already
@@ -170,7 +189,19 @@ def solve_masses(
     todo = _largest_first(dim, top)  # the systems still to solve, largest first
     done = 0
     nonzero: list[tuple[RootSystem, Fraction]] = []
+    targets = Targets()  # the same masses as M = m*D
+    G, D = genus.numerator, genus.denominator
     solved: list[str] = []  # names in solve order, kept only for the checkpoint digest
+
+    def cover(m: Fraction) -> int:
+        """m*D, once D is grown to the lcm of D and m's denominator (with
+        G and every stored M) if it is not a multiple of it already."""
+        nonlocal G, D
+        k = m.denominator // gcd(D, m.denominator)
+        if k > 1:
+            G, D = G * k, D * k
+            targets.scale(k)
+        return m.numerator * (D // m.denominator)
 
     if checkpoint and os.path.exists(checkpoint):
         header, masses = _read_table(checkpoint, dim=dim, count=count)
@@ -183,6 +214,8 @@ def solve_masses(
             raise CheckpointMismatch(f"checkpoint {checkpoint} has masses of unsolved systems")
         # the pull sums below are exact, so their order does not matter
         nonzero = list(masses.items())
+        for rs, m in nonzero:
+            targets.add(rs, cover(m))
 
     if workers and workers > 1 and done < count:
         # every coefficient is ready before back-substitution starts
@@ -196,16 +229,18 @@ def solve_masses(
         jobs = ((rs, eisenstein_coefficient(rs, dim)) for rs in todo)
 
     for rs, a in jobs:
-        acc = genus * a
-        for rs_j, m_j in nonzero:
-            n = rep_count(rs, rs_j)
-            if n:  # most pairs count 0, and 0 * m_j still costs a Fraction op
-                acc -= n * m_j
-        m = acc / rs.aut_order
-        if m < 0:
-            raise RuntimeError(f"negative mass for root system {rs}")
-        if m:
+        pull = 0
+        for rs_j, M_j in targets.admit(rs):
+            pull += rep_count(rs, rs_j) * M_j
+        num = G * a.numerator - pull * a.denominator
+        if num:
+            if num < 0:
+                raise RuntimeError(f"negative mass for root system {rs}")
+            m = Fraction(num, D * a.denominator * rs.aut_order)
+            targets.add(rs, cover(m))
             nonzero.append((rs, m))
+        else:
+            m = ZERO
         done += 1
         if checkpoint:
             solved.append(str(rs))

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per top-level criterion, one PASS/FAIL line each.
 
-Criteria 1-6 run at desk scale.  Criterion 7 is the dim-32 solve (14 min
-serial on a 2-vCPU VM); it is skipped unless LATMASS_LONG_RUN=1 is set, and
+Criteria 1-6 run at desk scale.  Criterion 7 is the dim-32 solve (12 to 14
+min serial on a 2-vCPU VM); it is skipped unless LATMASS_LONG_RUN=1 is set, and
 uses a resumable checkpoint so an interrupted run can continue.  It currently
 fails at its class bounds: n = 28 gives 327973 and n = 30 gives 20169641026,
 one above the recorded values.
@@ -265,7 +265,7 @@ ROOTLESS_BELOW_32 = {
 LEECH_MASS = Fraction(1, 8315553613086720000)
 
 
-@pytest.mark.skipif(not LONG_RUN, reason="14-min serial dim-32 solve; set LATMASS_LONG_RUN=1")
+@pytest.mark.skipif(not LONG_RUN, reason="12-min serial dim-32 solve; set LATMASS_LONG_RUN=1")
 def test_criterion_7_dim32_long_run(capsys):
     def check():
         cache = os.environ.get("LATTICE_MASS_CACHE") or "/tmp/latmass-long-run"

@@ -292,9 +292,9 @@ def test_verify_subcommand(capsys, monkeypatch):
     assert code == 0
     assert solved == [8, 16]  # the dim-16 checks share one solve
     lines = out.strip().splitlines()[1:]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(",pass," in line for line in lines)
-    assert err.count("pass:") == 5
+    assert err.count("pass:") == 6
 
 
 def test_verify_fails_under_optimize():
@@ -309,7 +309,7 @@ def test_verify_fails_under_optimize():
     result = run_python("-O", "-c", script)
     assert result.returncode == 3, result.stderr
     assert "fail: scalar_coefficients_dim8" in result.stderr
-    assert result.stderr.count("pass:") == 4
+    assert result.stderr.count("pass:") == 5
 
 
 def test_verify_takes_no_solver_flags(capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import operator
 import random
 
 from conftest import run_python
@@ -214,33 +215,73 @@ def test_capacity_matches_recursion():
 
 
 def test_capacity_rejects_no_embedding(table16, table24):
-    # every pair the dims 16 and 24 solves ask for that passes the rank and
-    # root count cut but fails the capacity test counts 0 in the recursion,
-    # which applies no capacity test.  rep_count compares the source's
-    # capacities with the target's; comparing the source's counts instead,
-    # which never exceed its capacities, rejects a subset of those pairs
+    # every pair the dims 16 and 24 solves ask for: Targets admits a target,
+    # with its weight, exactly when the rank, root count and capacity tests
+    # pass, the capacities compared field by field; every pair it rejects
+    # counts 0 in rep_count, and one that passes the rank and root count
+    # tests but fails the capacity test counts 0 in the recursion, which
+    # applies no capacity test.  rep_count's guard-bit subtraction agrees
+    # with the field comparison, and comparing the source's counts instead
+    # of its capacities rejects a subset of those pairs
     guard = embeddings._GUARD
     rejected = {}
     for table in (table16, table24[0]):
-        nonzero, by_counts, by_caps = [], 0, 0
+        index, nonzero, by_counts, by_caps = embeddings.Targets(), [], 0, 0
         for rs in reversed(enumerate_systems(table.dim, dim=table.dim)):
             s, s_counts, s_caps = embeddings._codes(rs)
-            for t_rs, t, t_counts, t_caps in nonzero:
+            admitted = []
+            for t_rs, t, t_counts, t_caps, weight in nonzero:
                 if rs.rank > t_rs.rank or rs.root_count > t_rs.root_count:
+                    assert rep_count(rs, t_rs) == 0
                     continue
                 counts_fail = ((t_caps | guard) - s_counts) & guard != guard
                 caps_fail = ((t_caps | guard) - s_caps) & guard != guard
+                fields = (caps.to_bytes(64, "little") for caps in (s_caps, t_caps))
+                assert caps_fail != all(map(operator.le, *fields)), (rs, t_rs)
                 assert caps_fail or not counts_fail, (rs, t_rs)
                 if caps_fail:
                     args = (rs.rank, rs.root_count, t_rs.rank, t_rs.root_count)
                     assert embeddings._count(s, t, t_counts, *args) == 0, (rs, t_rs)
                     assert rep_count(rs, t_rs) == 0
+                else:
+                    admitted.append((t_rs, weight))
                 by_counts += counts_fail
                 by_caps += caps_fail
+            assert index.admit(rs) == admitted, rs
             if table.mass(rs):
-                nonzero.append((rs, s, s_counts, s_caps))
+                nonzero.append((rs, s, s_counts, s_caps, len(nonzero) + 1))
+                index.add(rs, len(nonzero))
         rejected[table.dim] = by_counts, by_caps
     assert rejected == {16: (574, 647), 24: (258953, 300249)}
+
+
+def test_admit_reads_the_guard_when_the_table_grows(monkeypatch):
+    # the targets' capacities are made while the table holds types up to
+    # rank 4; A5 then grows it, and with it the guard, so capacities kept
+    # with the old guard folded in would reject every later pair
+    fresh_memo(monkeypatch)
+    for name, empty in (("_CODE", {}), ("_RANK", []), ("_ROOTS", []), ("_ROWS", []), ("_CAPS", [])):
+        monkeypatch.setattr(embeddings, name, empty)
+    monkeypatch.setattr(embeddings, "_GUARD", 0)
+    targets = [parse("D4^2"), parse("A1^8"), parse("A1 A3")]
+    index = embeddings.Targets()
+    for w, t in enumerate(targets, 1):
+        index.add(t, w)
+    guard = embeddings._GUARD
+    admitted = {}
+    for name in ("A5", "A1^2", "A3", "D4", "A2 A1", "0"):
+        source = parse(name)
+        admitted[name] = [t for t, _ in index.admit(source)]
+        assert all(rep_count(source, t) == 0 for t in targets if t not in admitted[name]), name
+    assert embeddings._GUARD > guard
+    assert {name: [str(t) for t in ts] for name, ts in admitted.items()} == {
+        "A5": [],
+        "A1^2": ["D4^2", "A1^8", "A1 A3"],
+        "A3": ["D4^2", "A1 A3"],
+        "D4": ["D4^2"],
+        "A2 A1": ["D4^2", "A1 A3"],
+        "0": ["D4^2", "A1^8", "A1 A3"],
+    }
 
 
 def test_codes_while_the_table_grows(monkeypatch):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from latmass import solver
+from latmass.embeddings import rep_count
 from latmass.roots import RootSystem, _rank_counts, _walk, enumerate_systems
 from latmass.solver import (
     CheckpointMismatch,
@@ -329,3 +331,38 @@ def test_edited_checkpoint_mass_rejected(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointMismatch, match="masses digest"):
             solve_masses(16, checkpoint=str(path))
+
+
+def test_mass_outside_the_genus_denominator(monkeypatch, tmp_path, table16):
+    # coefficients as if D16 lost a mass eps to two systems of mass 0, eps/19
+    # to one and 18 eps/19 to the other: their masses have denominators
+    # outside the genus mass's (17 and 19 do not divide it), so the solve
+    # grows its denominator at D16, rescaling E8^2's stored numerator, and
+    # again at the first of the two.  Its table must equal a back-substitution
+    # in Fractions, and so must a resume of a checkpoint holding D16's mass
+    genus = genus_mass(16)
+    eps = Fraction(1, 17 * 10**20)
+    systems = enumerate_systems(16, dim=16)[::-1]
+    moved = {parse("D16"): -eps, systems[600]: eps / 19, systems[1000]: eps * 18 / 19}
+    coefficient = solver.eisenstein_coefficient
+
+    def shifted(rs, dim):
+        return coefficient(rs, dim) + sum(rep_count(rs, x) * d for x, d in moved.items()) / genus
+
+    monkeypatch.setattr("latmass.solver.eisenstein_coefficient", shifted)
+    want = {}
+    for rs in systems:
+        acc = genus * shifted(rs, 16) - sum(rep_count(rs, t) * m for t, m in want.items())
+        m = acc / rs.aut_order
+        assert m >= 0, rs
+        if m:
+            want[rs] = m
+    assert want == {rs: table16.mass(rs) + moved.get(rs, 0) for rs in [*table16.masses, *moved]}
+    assert all(genus.denominator % want[rs].denominator for rs in moved)
+    assert solve_masses(16).masses == want
+    path = tmp_path / "dim16.json"
+    with pytest.raises(Interrupted):
+        solve_masses(16, checkpoint=str(path), progress=stop_after(750))
+    data = json.loads(path.read_text())
+    assert data["done"] == 500 and Fraction(data["masses"]["D16"]) == want[parse("D16")]
+    assert solve_masses(16, checkpoint=str(path)).masses == want
