@@ -127,8 +127,16 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count(text: str) -> int:
-    n, limit = int(text), os.cpu_count() or 1
+    n, limit = int(text), _usable_cpus()
     if not 1 <= n <= limit:
         raise argparse.ArgumentTypeError(f"must lie in 1..{limit}, got {n}")
     return n
@@ -371,7 +379,7 @@ def cmd_verify(args) -> None:
         expect(even_class_bound(table)[:2] == (2, 2), "the class bound")
 
     def coeff_matches_embeddings():
-        for name in ("A1", "A2", "A1^2", "D4", "A1 A3", "E8"):
+        for name in ("A1", "A2", "A1^2", "D4", "A1 A3", "E8", "A1^8", "A2^4", "A4^2", "D4^2", "A1^4 D4"):
             rs = RootSystem.parse(name)
             expect(eisenstein_coefficient(rs, 8) == rep_count(rs, e8), name)
 

@@ -144,18 +144,37 @@ def fundamental_discriminant(d: Fraction | int) -> int:
 
 
 def generalized_bernoulli(m: int, disc: int) -> Fraction:
-    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f) for chi = kronecker(disc, .)
-    and f = |disc|, with B_m(x) expanded: sum_j C(m, j) B_j f^(j-1) S_{m-j},
-    where S_t = sum_a chi(a) a^t."""
+    """B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f) for chi = kronecker(disc, .),
+    disc = 0, 1 mod 4, and f = |disc|, with B_m(x) expanded:
+    sum_j C(m, j) B_j f^(j-1) S_{m-j}, where S_t = sum_a chi(a) a^t.
+
+    chi is a character mod f, so chi(f - a) = chi(-1) chi(a) with chi(-1)
+    the sign of disc, and B_m(1 - x) = (-1)^m B_m(x): the terms at a and
+    f - a are equal or cancel.  For f > 1 the sum is twice that over
+    a < f/2, or 0 when chi(-1) != (-1)^m; chi vanishes at a = f/2 and at
+    a = f.  For f = 1 it is the single term B_m(1)."""
+    if not disc or disc % 4 > 1:
+        raise ValueError(f"{disc} is not a discriminant: kronecker({disc}, .) is no character mod {abs(disc)}")
     f = abs(disc)
-    support = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]  # chi(a) != 0
+    if f == 1:
+        support, twice = [1], 1
+    elif (disc < 0) != (m % 2 == 1):
+        return Fraction(0)
+    else:
+        support, twice = [a for a in range(1, (f + 1) // 2) if math.gcd(a, f) == 1], 2
     terms = [kronecker_symbol(disc, a) for a in support]  # chi(a) a^t at t = 0, 1, ...
     power_sums = []
     for _ in range(m + 1):
         power_sums.append(sum(terms))
         terms = [x * a for x, a in zip(terms, support)]
-    acc = sum(math.comb(m, j) * bernoulli(j) * f**j * power_sums[m - j] for j in range(m + 1))
-    return acc / f
+    # the sum over j in integers, over the common denominator of the B_j
+    bs = [bernoulli(j) for j in range(m + 1)]
+    den = math.lcm(*(b.denominator for b in bs))
+    acc = sum(
+        math.comb(m, j) * b.numerator * (den // b.denominator) * f**j * power_sums[m - j]
+        for j, b in enumerate(bs)
+    )
+    return Fraction(twice * acc, den * f)
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,10 @@ the Siegel series recursion.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Block = tuple[str, int, int]  # (kind 'u'|'h'|'y', scale, unit residue; 0 for h/y)
@@ -127,53 +127,91 @@ def chi_p(x: Fraction | int, p: int) -> int:
 # Jordan decomposition
 
 
-def merge_blocks(parts, p: int) -> tuple[Block, ...]:
-    """Canonical block list of a direct sum given the summands' blocks.
+@lru_cache(maxsize=None)
+def _nonresidue(p: int) -> int:
+    """The least quadratic nonresidue mod the odd prime p."""
+    return next(r for r in range(2, p) if _legendre(r, p) == -1)
 
-    At odd p each scale becomes <1,...,1,cls>, cls the determinant class.
-    At p = 2 each scale keeps at most two odd units and one Y: Y + Y = H + H,
-    and three units <a, b, c> = <a+b+c> + K one scale up, K = H or Y as
-    abc(a+b+c) is 7 or 3 mod 8 (the complement of a splitting vector is an
-    even binary form of determinant class abc(a+b+c)).  A merge adds no
-    unit, so one ascending walk to one scale above the highest settles and
-    emits every scale: units by residue, the H's, then at most one Y.
+
+@lru_cache(maxsize=None)
+def _fold_units(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """The units of one scale at p = 2, counted by residue mod 8 (counts[r]
+    units of residue r), folded three at a time, least residues first, into
+    <a+b+c> and an even binary form one scale up, until at most two are
+    left: (those units ascending, the H's and the Y's made)."""
+    left = list(counts)
+    h = y = 0
+    while sum(left) >= 3:
+        a, b, c = [r for r, k in enumerate(left) for _ in range(min(k, 3))][:3]
+        for r in (a, b, c):
+            left[r] -= 1
+        s = (a + b + c) % 8
+        t = (a * b * c * s) % 8
+        if t not in (3, 7):
+            raise ArithmeticError(f"units {a}, {b}, {c} leave no even binary form")
+        if t == 7:
+            h += 1
+        else:
+            y += 1
+        left[s] += 1
+    return tuple(r for r, c in enumerate(left) for _ in range(c)), h, y
+
+
+def merge_blocks(counted, p: int) -> tuple[Block, ...]:
+    """Canonical block list of a direct sum given its blocks with their
+    counts, as (block, count) pairs; a block may come in several pairs.
+
+    At odd p each scale becomes <1,...,1,cls>, cls the determinant class,
+    with one Legendre symbol per pair of odd count and residue other than
+    1.  At p = 2 each scale keeps at most two odd units and one Y: Y + Y =
+    H + H, and three units <a, b, c> = <a+b+c> + K one scale up, K = H or Y
+    as abc(a+b+c) is 7 or 3 mod 8 (the complement of a splitting vector is
+    an even binary form of determinant class abc(a+b+c)); _fold_units does
+    that per scale on the units' residue counts.  A fold adds no unit, so
+    one ascending walk to one scale above the highest settles and emits
+    every scale: units by residue, the H's, then at most one Y.
     """
     two = p == 2
+    # per scale: units counted by residue mod 8 at p = 2, else [count, class]
     units: dict[int, list[int]] = {}
     evens: dict[int, list[int]] = {}  # scale -> [h_count, y_count]
-    for part in parts:
-        for kind, e, u in part:
-            if kind == "u":
-                units.setdefault(e, []).append(u % 8 if two else u)
-            elif two:
-                evens.setdefault(e, [0, 0])[0 if kind == "h" else 1] += 1
+    for (kind, e, u), k in counted:
+        if kind == "u":
+            at = units.get(e)
+            if two:
+                if at is None:
+                    at = units[e] = [0] * 8
+                at[u % 8] += k
             else:
-                raise ValueError(f"block {(kind, e, u)} at p = {p}: odd primes have unit blocks only")
+                if at is None:
+                    at = units[e] = [0, 1]
+                at[0] += k
+                if k % 2 and u % p != 1:
+                    at[1] *= _legendre(u, p)
+        elif two:
+            evens.setdefault(e, [0, 0])[kind != "h"] += k
+        else:
+            raise ValueError(f"block {(kind, e, u)} at p = {p}: odd primes have unit blocks only")
     out: list[Block] = []
     if not two:
-        qnr = next(r for r in range(2, p) if _legendre(r, p) == -1)
         for e in sorted(units):
-            cls = 1
-            for u in units[e]:
-                cls *= _legendre(u, p)
-            out.extend(("u", e, 1) for _ in range(len(units[e]) - 1))
-            out.append(("u", e, 1 if cls == 1 else qnr))
+            count, cls = units[e]
+            out += [("u", e, 1)] * (count - 1)
+            out.append(("u", e, 1 if cls == 1 else _nonresidue(p)))
         return tuple(out)
     scales = units.keys() | evens.keys()
     for e in range(min(scales), max(scales) + 2) if scales else ():
-        us = sorted(units.get(e, ()))
-        while len(us) >= 3:
-            a, b, c = us[:3]
-            s = (a + b + c) % 8
-            t = (a * b * c * s) % 8
-            if t not in (3, 7):
-                raise ArithmeticError(f"units {a}, {b}, {c} of scale {e} leave no even binary form")
-            evens.setdefault(e + 1, [0, 0])[0 if t == 7 else 1] += 1
-            us = sorted([s] + us[3:])
-        out.extend(("u", e, u) for u in us)
+        at = units.get(e)
+        if at:
+            us, h, y = _fold_units(tuple(at))
+            up = evens.setdefault(e + 1, [0, 0])
+            up[0] += h
+            up[1] += y
+            out += [("u", e, u) for u in us]
         h, y = evens.get(e, (0, 0))
-        out.extend(("h", e, 0) for _ in range(h + y - y % 2))
-        out.extend(("y", e, 0) for _ in range(y % 2))
+        out += [("h", e, 0)] * (h + y - y % 2)
+        if y % 2:
+            out.append(("y", e, 0))
     return tuple(out)
 
 
@@ -261,7 +299,7 @@ def jordan_decompose(mat, p: int) -> tuple[Block, ...]:
                     put(k, l, rk.get(l, 0) - t)
     if len(raw) + sum(kind != "u" for kind, _, _ in raw) < n:
         raise ValueError("the matrix is degenerate")
-    return merge_blocks([raw], p)
+    return merge_blocks([(b, 1) for b in raw], p)
 
 
 def block_matrix(blocks, p: int = 2) -> Matrix:
@@ -292,8 +330,7 @@ def block_matrix(blocks, p: int = 2) -> Matrix:
 # Invariants of a block list
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(NamedTuple):
     n: int
     det: Fraction
     d: int          # valuation of 2^(2*floor(n/2)) * det
@@ -325,14 +362,15 @@ def local_invariants(blocks: tuple[Block, ...], p: int) -> LocalInvariants:
     # det(B) = p^v * unit, with the unit an integer prime to p
     n = v = 0
     unit = 1
-    iv: int | None = None
+    i = None  # the largest block i so far: e for a unit, e - 2 for H or Y
     for kind, e, u in blocks:
         if kind == "u":
-            n, v, unit, cand = n + 1, v + e, unit * u, e
+            n, v, unit = n + 1, v + e, unit * u
         else:
-            n, v, cand = n + 2, v + 2 * e - 2, e - 2
+            n, v, e = n + 2, v + 2 * e - 2, e - 2
             unit *= -1 if kind == "h" else 3
-        iv = cand if iv is None else max(iv, cand)
+        if i is None or e > i:
+            i = e
     d = v + 2 * (n // 2) if p == 2 else v
     if d < 0:
         raise ValueError(f"blocks {blocks} at p = {p} are not those of a half-integral matrix")
@@ -348,7 +386,7 @@ def local_invariants(blocks: tuple[Block, ...], p: int) -> LocalInvariants:
         eta *= _hilbert(0, -1, 0, -1, p) ** ((n * n - 1) // 8 % 2)
     xi_prime = 1 + xi - xi * xi
     det = Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
-    return LocalInvariants(n, det, d, iv, delta, xi, xi_prime, eta)
+    return LocalInvariants(n, det, d, i, delta, xi, xi_prime, eta)
 
 
 def with_unit(blocks: tuple[Block, ...], scale: int, p: int, residue: int = 1) -> tuple[Block, ...]:

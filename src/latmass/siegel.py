@@ -23,6 +23,7 @@ coefficient_for_gram.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -254,7 +255,7 @@ def component_blocks(kind: str, rank: int, p: int):
         for b_kind, _, u in blocks:
             w *= u if b_kind == "u" else -1 if b_kind == "h" else 3
             size += 1 if b_kind == "u" else 2
-        return merge_blocks([blocks + _even_unimodular(rank - size, w)], 2)
+        return merge_blocks([(b, 1) for b in blocks + _even_unimodular(rank - size, w)], 2)
     v = valuation(d, p)
     if not v:
         units = [("u", 0, 1)] * (rank - 1) + [("u", 0, d * pow(2, rank, p) % p)]
@@ -262,14 +263,22 @@ def component_blocks(kind: str, rank: int, p: int):
         q = 2 * rank * d // p**v if kind == "A" else 2
         cls = d // p**v * pow(2, rank, p) * q % p
         units = [("u", 0, 1)] * (rank - 2) + [("u", 0, cls), ("u", v, q % p)]
-    return merge_blocks([units], p)
+    return merge_blocks([(b, 1) for b in units], p)
+
+
+@lru_cache(maxsize=None)
+def _counted_blocks(kind: str, rank: int, p: int):
+    """component_blocks as (block, count) pairs: a component has few
+    distinct blocks, most of them repeated units or H's."""
+    return tuple(Counter(component_blocks(kind, rank, p)).items())
 
 
 def system_blocks(rs: RootSystem, p: int):
-    parts = []
-    for kind, rank, mult in rs.components:
-        parts.extend([component_blocks(kind, rank, p)] * mult)
-    return merge_blocks(parts, p)
+    """Jordan blocks of half the Gram matrix of a root system at p: one
+    merge of each component type's counted blocks times its multiplicity."""
+    return merge_blocks(
+        [(b, k * mult) for kind, rank, mult in rs.components for b, k in _counted_blocks(kind, rank, p)], p
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +344,17 @@ def _l_norm(s: int, disc: int) -> Fraction:
     d = 1 if chi < 0 else 0
     if (s - d) % 2:
         raise ValueError(f"L({s}, chi) with chi of discriminant {chi}: parity mismatch")
-    scale = Fraction(2 ** (s - 1) * q ** (2 * s - 1), math.factorial(s - 1))
-    return _sgn((s - d) // 2) * scale * l_value(1 - s, chi)
+    value = l_value(1 - s, chi)
+    num = _sgn((s - d) // 2) * 2 ** (s - 1) * q ** (2 * s - 1) * value.numerator
+    return Fraction(num, math.factorial(s - 1) * value.denominator)
 
 
-def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
-    """Coefficient at a half-integral B of rank n and determinant det_b;
-    blocks_at(p) gives the Jordan blocks of B at p."""
+def _coefficient(n: int, dim: int, det_num: int, det_den: int, blocks_at) -> Fraction:
+    """Coefficient at a half-integral B of rank n and determinant
+    det_num / det_den; blocks_at(p) gives the Jordan blocks of B at p.
+
+    The factors are multiplied as one integer numerator and denominator
+    over the integer discriminant 4^(n//2) det B, and reduced once."""
     if dim % 2:
         raise ValueError(f"dim must be even, got {dim}")
     if dim <= 0:
@@ -353,18 +366,27 @@ def _coefficient(n: int, dim: int, det_b: Fraction, blocks_at) -> Fraction:
         raise ValueError(f"weight dim / 2 = {k} is odd")
     if n == 0:
         return Fraction(1)
-    disc_b = det_b * Fraction(4) ** (n // 2)
-    if disc_b.denominator != 1:
-        raise ValueError(f"det {det_b} is not that of a half-integral matrix of rank {n}")
+    h = n // 2
+    disc, rest = divmod(det_num << 2 * h, det_den)
+    if rest:
+        raise ValueError(f"det {Fraction(det_num, det_den)} is not that of a half-integral matrix of rank {n}")
+    norm = _norm(n, k)
+    num, den = norm.numerator, norm.denominator
     if n % 2:
-        total = _norm(n, k) * det_b ** (k - n // 2 - 1)
+        # det B^(s - 1) with det B = disc / 4^h and s = k - h
+        num *= disc ** (k - h - 1)
+        den <<= 2 * h * (k - h - 1)
     else:
-        total = _norm(n, k) * _l_norm(k - n // 2, _sgn(n // 2) * int(disc_b))
-    for p in sorted({2, *factorize(int(disc_b))}):
+        value = _l_norm(k - h, _sgn(h) * disc)
+        num *= value.numerator
+        den *= value.denominator
+    for p in sorted({2, *factorize(disc)}):
         blocks = blocks_at(p)
         if local_invariants(blocks, p).d:
-            total *= f_value(blocks, p, Fraction(1, p**k))
-    return total
+            value = f_value(blocks, p, Fraction(1, p**k))
+            num *= value.numerator
+            den *= value.denominator
+    return Fraction(num, den)
 
 
 def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:
@@ -373,14 +395,15 @@ def eisenstein_coefficient(rs: RootSystem, dim: int) -> Fraction:
     if any(kind == "Z" for kind, _, _ in rs.components):
         raise ValueError(f"{rs} has a Z component, which has no roots")
     n = rs.rank
-    return _coefficient(n, dim, Fraction(rs.det, 2**n), lambda p: system_blocks(rs, p))
+    return _coefficient(n, dim, rs.det, 1 << n, lambda p: system_blocks(rs, p))
 
 
 def coefficient_for_gram(gram, dim: int) -> Fraction:
     """Same coefficient for an arbitrary even positive definite Gram matrix;
     `det` raises ValueError for one that is not positive definite."""
     half = tuple(tuple(Fraction(v, 2) for v in row) for row in gram)
-    return _coefficient(len(gram), dim, det(half), lambda p: jordan_decompose(half, p))
+    d = det(half)
+    return _coefficient(len(gram), dim, d.numerator, d.denominator, lambda p: jordan_decompose(half, p))
 
 
 def scalar_coefficient(m: int, dim: int) -> Fraction:

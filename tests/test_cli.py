@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import run_python
-from latmass.cli import main
+from latmass.cli import _usable_cpus, main
 from latmass.roots import enumerate_systems
 from latmass.solver import _order_digest, genus_mass, solve_masses
 from test_solver import Interrupted, stop_after
@@ -98,7 +98,16 @@ def test_threads_out_of_range_exit_2(capsys, tmp_path):
     assert not cache.exists()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two CPUs")
+def test_threads_bounded_by_the_affinity_set(capsys, monkeypatch):
+    # a process pinned to one CPU of many may not start two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["mass", "--dim", "8", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads: must lie in 1..1, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs two CPUs")
 def test_threads_print_the_serial_table(capsys):
     # the pool computes the coefficients of the same solve list
     serial = run(capsys, "mass", "--dim", "16", "--format", "csv")

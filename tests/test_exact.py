@@ -30,23 +30,33 @@ def test_bernoulli_numbers():
 
 
 def test_generalized_bernoulli_matches_textbook_sum():
-    # B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), with the Bernoulli
-    # polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j) written out here
+    # B_{m,chi} = f^(m-1) sum_{a=1..f} chi(a) B_m(a/f), over the whole range
+    # a = 1..f, with the Bernoulli polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j)
+    # written out here over one denominator: L f^m B_m(a/f) is an integer
     def textbook(m, disc):
         f = abs(disc)
-        acc = Fraction(0)
+        big_l = math.lcm(*(bernoulli(j).denominator for j in range(m + 1)))
+        coef = [int(math.comb(m, j) * bernoulli(j) * big_l * f**j) for j in range(m + 1)]
+        acc = 0
         for a in range(1, f + 1):
-            x = Fraction(a, f)
-            b_m = sum(math.comb(m, j) * bernoulli(j) * x ** (m - j) for j in range(m + 1))
-            acc += kronecker_symbol(disc, a) * b_m
-        return Fraction(f) ** (m - 1) * acc
+            acc += kronecker_symbol(disc, a) * sum(c * a ** (m - j) for j, c in enumerate(coef))
+        return Fraction(acc, big_l * f)
 
     rng = random.Random(10)
     picks = [rng.choice([-1, 1]) * rng.randint(2, 150) for _ in range(12)]
     discs = {fundamental_discriminant(d) for d in picks}
-    for disc in sorted(discs - {1}) + [-3, -4, 5, 8, -8]:
-        for m in range(1, 13):
+    # the trivial character (f = 1) and small conductors of both parities
+    for disc in [1] + sorted(discs - {1}) + [-3, -4, 5, 8, -8]:
+        for m in range(13):
             assert generalized_bernoulli(m, disc) == textbook(m, disc), (m, disc)
+    # conductors above 150, odd and even characters; coeff32 reaches -1428
+    # and 840.  m = 0..5 meets both the parity-mismatch zeros and the
+    # doubled half sums
+    for disc in (-1428, 840, -163, 173, -184, 156, -211, 157):
+        assert fundamental_discriminant(disc) == disc
+        for m in range(6):
+            assert generalized_bernoulli(m, disc) == textbook(m, disc), (m, disc)
+    assert generalized_bernoulli(0, 1) == 1 and generalized_bernoulli(1, 1) == Fraction(1, 2)
 
 
 def test_squarefree_decompose():
@@ -243,6 +253,8 @@ def test_bad_arguments_raise_under_optimize():
         "    lambda: zeta_value(3),\n"
         "    lambda: fundamental_discriminant(0),\n"
         "    lambda: l_value(1, -4),\n"
+        "    lambda: generalized_bernoulli(2, 3),\n"
+        "    lambda: generalized_bernoulli(2, 0),\n"
         "    lambda: det(((2, 1),)),\n"
         "    lambda: det(((2, 1), (1,))),\n"
         "    lambda: det(((2, 1), (0, 2))),\n"

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from conftest import run_python
 from latmass.padic import (
     _diag_over_qp,
+    _fold_units,
     block_matrix,
     chi_p,
     hasse_invariant,
@@ -165,14 +168,14 @@ def test_checks_raise_under_optimize():
         "    (ValueError, lambda: padic.jordan_decompose(\n"
         "        ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 1)), 2)),\n"
         "    (ValueError, lambda: padic.jordan_decompose(((0, 1, 3), (1, 0, 3), (3, 3, 18)), 3)),\n"
-        "    (ValueError, lambda: padic.merge_blocks([[('h', 1, 0)]], 3)),\n"
+        "    (ValueError, lambda: padic.merge_blocks([(('h', 1, 0), 1)], 3)),\n"
         "    # a matrix that is not square is refused, not truncated\n"
         "    (ValueError, lambda: padic.jordan_decompose(((1, 0),), 3)),\n"
         "    (ValueError, lambda: padic.jordan_decompose(((2, 1), (1,)), 2)),\n"
         "    (ValueError, lambda: siegel.coefficient_for_gram(((2, 1),), 8)),\n"
         "    (ValueError, lambda: siegel.coefficient_for_gram(((2, 1), (1,)), 8)),\n"
         "    (ValueError, lambda: padic.local_invariants((('u', -1, 1),), 3)),\n"
-        "    (ArithmeticError, lambda: padic.merge_blocks([[('u', 0, 2)] * 3], 2)),\n"
+        "    (ArithmeticError, lambda: padic.merge_blocks([(('u', 0, 2), 3)], 2)),\n"
         "]\n"
         "for i, (error, call) in enumerate(cases):\n"
         "    try:\n"
@@ -265,8 +268,13 @@ def _random_raw_blocks(rng, p, most=4, top=2):
     return blocks
 
 
+def _ones(blocks):
+    """blocks as (block, count) pairs, one copy each, as merge_blocks takes them."""
+    return [(b, 1) for b in blocks]
+
+
 def _random_blocks(rng, p, most=4, top=2):
-    return merge_blocks([_random_raw_blocks(rng, p, most, top)], p)
+    return merge_blocks(_ones(_random_raw_blocks(rng, p, most, top)), p)
 
 
 def test_jordan_roundtrip_invariants():
@@ -310,22 +318,53 @@ def test_merge_matches_direct_sum():
                 )
                 for i in range(n1 + n2)
             )
-            merged = merge_blocks([b1, b2], p)
+            merged = merge_blocks(_ones(b1 + b2), p)
             assert _signature(merged, p) == _signature(jordan_decompose(direct, p), p)
 
 
 def test_merge_is_a_canonical_form():
     # merging again changes nothing, and the result does not depend on the
-    # order of the blocks or on how they are split into summands
+    # order of the blocks or on how their copies are counted: one pair per
+    # copy, one per distinct block, or a block's count split over two pairs
     rng = random.Random(18)
     for p in PRIMES:
         for most, top in ((4, 2), (8, 5)) * 200:
             raw = _random_raw_blocks(rng, p, most, top)
-            merged = merge_blocks([raw], p)
-            assert merge_blocks([merged], p) == merged, (raw, p)
+            merged = merge_blocks(_ones(raw), p)
+            assert merge_blocks(_ones(merged), p) == merged, (raw, p)
             rng.shuffle(raw)
-            cut = rng.randint(0, len(raw))
-            assert merge_blocks([raw[:cut], raw[cut:]], p) == merged, (raw, p)
+            assert merge_blocks(_ones(raw), p) == merged, (raw, p)
+            counted = list(Counter(raw).items())
+            assert merge_blocks(counted, p) == merged, (raw, p)
+            split = []
+            for b, k in counted:
+                cut = rng.randint(0, k)
+                split += [(b, cut), (b, k - cut)] if cut else [(b, k)]
+            rng.shuffle(split)
+            assert merge_blocks(split, p) == merged, (raw, p)
+
+
+def test_fold_units_matches_one_unit_at_a_time():
+    # the counted 2-adic fold against the walk it replaces: sort the units,
+    # fold the least three into their sum and an even form one scale up,
+    # repeat; every residue count vector of up to 16 units
+    def walk(units):
+        us, h, y = sorted(units), 0, 0
+        while len(us) >= 3:
+            a, b, c = us[:3]
+            s = (a + b + c) % 8
+            h, y = (h + 1, y) if a * b * c * s % 8 == 7 else (h, y + 1)
+            us = sorted([s] + us[3:])
+        return tuple(us), h, y
+
+    checked = 0
+    for c1, c3, c5, c7 in product(range(17), repeat=4):
+        if c1 + c3 + c5 + c7 <= 16:
+            counts = (0, c1, 0, c3, 0, c5, 0, c7)
+            units = [1] * c1 + [3] * c3 + [5] * c5 + [7] * c7
+            assert _fold_units(counts) == walk(units), counts
+            checked += 1
+    assert checked == 4845
 
 
 def test_with_unit():

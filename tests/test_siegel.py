@@ -18,7 +18,8 @@ from latmass.padic import (
     merge_blocks,
     with_unit,
 )
-from latmass.roots import RootSystem, _component_types, component_gram, enumerate_systems
+from latmass.exact import factorize
+from latmass.roots import RootSystem, _component_types, _walk, component_gram, enumerate_systems
 from latmass.siegel import (
     component_blocks,
     eisenstein_coefficient,
@@ -68,7 +69,7 @@ def _random_blocks(rng, p, most=4, top=3):
         else:
             residues = [1, 3, 5, 7] if p == 2 else [1, 2]
             raw.append(("u", e, rng.choice(residues)))
-    return merge_blocks([tuple(raw)], p)
+    return merge_blocks([(b, 1) for b in raw], p)
 
 
 def digest(lines):
@@ -320,7 +321,24 @@ def test_coefficient_dimension_24():
 
 def test_component_blocks_cached_forms():
     assert component_blocks("A", 1, 2) == (("u", 0, 1),)
-    assert component_blocks("D", 4, 2) == merge_blocks([component_blocks("D", 4, 2)], 2)
+    assert component_blocks("D", 4, 2) == merge_blocks([(b, 1) for b in component_blocks("D", 4, 2)], 2)
+
+
+def test_system_blocks_equal_the_merge_of_every_copy():
+    # system_blocks merges each component type once, its counted blocks
+    # times its multiplicity; the reference merges every copy's blocks one
+    # by one, at 2 and at each odd prime dividing the discriminant
+    sample = random.Random(33).sample(_walk(32, 32, True), 300)
+    pairs = 0
+    for rs in enumerate_systems(16, dim=16) + sample:
+        for p in sorted({2, *factorize(rs.det)}):
+            copies = []
+            for kind, rank, mult in rs.components:
+                copies += [component_blocks(kind, rank, p)] * mult
+            want = merge_blocks([(b, 1) for blocks in copies for b in blocks], p)
+            assert system_blocks(rs, p) == want, (rs, p)
+            pairs += 1
+    assert pairs == 4467
 
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
