@@ -13,12 +13,12 @@ codes, one per copy: A1^2 D4 is (0, 0, 4).  The largest component is the
 last code, and a code's rank and root count are list lookups.  A system is
 also a packed multiplicity integer, whose 8-bit field c holds the count of
 code c: A1^2 D4 is 2 + (1 << 8*4).  A system's entry holds its codes,
-its packed counts and its packed capacities (below), all made in one pass
-over its components.  Callers ask for one source in a run of consecutive
-calls against targets that recur, so rep_count keeps the current source's
-entry in a one-entry slot, `_source`, and only the targets' in `_CODES`,
-a cache keyed by name.  Fields stay below 128 only while ranks do, so a
-system of rank 128 or more raises ValueError.
+its packed counts, its packed capacities and its guard (below), all made
+in one pass over its components.  Callers ask for one source in a run of
+consecutive calls against targets that recur, so rep_count keeps the
+current source's entry in a one-entry slot, `_source`, and only the
+targets' in `_CODES`, a cache keyed by name.  Fields stay below 128 only
+while ranks do, so a system of rank 128 or more raises ValueError.
 
 Rows.  For each (source code, target code) pair the table `_ROWS` keeps
 one row per way of placing the source component in the target component:
@@ -41,20 +41,24 @@ linearly to an isometry of root lattices, whose norm-2 vectors are the
 roots, so it carries mutually orthogonal copies of c in S to mutually
 orthogonal copies in T.  So rep_count returns 0 at once when some field
 of S's capacities exceeds T's.  This is stronger than comparing S's
-counts, since cap_c(S) >= mult_S(c).  The test is one subtraction: with
-every field's top (guard) bit set in T's capacities, a field that S
-exceeds borrows its guard bit.
+counts, since cap_c(S) >= mult_S(c).  The test is one subtraction with
+S's guard, the top bit of each of its fields up to its last code: with
+those bits set in T's capacities, a field that S exceeds borrows its
+guard bit.  It is exact, since S is 0 above its last code and no field
+can borrow from the next (T + 128 - S >= 1), and the guard is S's own,
+so growing the table later changes nothing.
 
 Filtering.  rep_count's top tests (rank, root count, capacities) answer
 most of the pairs a solve visits, each after a Python call.  So a solve
-keeps its nonzero targets in a `Targets` index, with their ranks, root
-counts and capacities, and `Targets.admit` runs the three tests inline in
-one loop over them; the solver calls rep_count only on the targets it
-admits.  The guard is read at each admit, after the source's entry is
-made: making it may grow the table and with it the guard, so capacities
-stored with an older guard folded in would fail every pair.  rep_count
-keeps its top tests for the callers that ask for single pairs (`latmass
-emb`, the benchmark's pull rows).
+keeps its nonzero targets in a `Targets` index, with their root counts
+and capacities, and `Targets.admit` runs the root count test and then the
+capacity test inline in one loop over them; the solver calls rep_count
+only on the targets it admits.  The rank test is left out: a solve adds
+a target only after solving it, in descending rank order, so no source
+ranks above a target.  A target's entry is made in `_CODES` when it is
+added, where rep_count finds it.  rep_count keeps all three tests for the
+callers that ask for single pairs (`latmass emb`, the benchmark's pull
+rows).
 
 Memo.  Sub-problems are memoised per sub-source, keyed by the packed counts
 of the target: `_MEMO[sub][key]`, so one `_count` call looks its
@@ -163,16 +167,14 @@ _CAPS: list[int] = []
 
 # A packed vector keeps the value for code c in bits 8c to 8c + 7.  Counts
 # and capacities stay below 128 while ranks do, so bit 8c + 7 of every
-# field, set in _GUARD, is free to catch a borrow.
+# field is free to catch a borrow.
 _FIELD = 8
 _MAX_RANK = (1 << _FIELD - 1) - 1
-_GUARD = 0
 
 
 def _grow(max_rank: int) -> None:
     """Number every component type of rank at most max_rank, fill in the
     rows of every pair of codes and the capacity vector of every code."""
-    global _GUARD
     old = len(_RANK)
     for kind, rank in _component_types(max_rank)[old:]:
         _CODE[kind, rank] = len(_RANK)
@@ -189,7 +191,6 @@ def _grow(max_rank: int) -> None:
     # component, so its vectors are in place when the component's are made
     for x in range(old, len(types)):
         _CAPS.append(sum(_cap(c, x) << _FIELD * c for c in range(x + 1)))
-        _GUARD |= 1 << _FIELD * x + _FIELD - 1
 
 
 def _code_rows(sk: str, sr: int, t: int, tk: str, tr: int) -> tuple:
@@ -232,7 +233,7 @@ def _cap(c: int, x: int) -> int:
     )
 
 
-_CODES: dict[str, tuple[tuple, int, int]] = {}  # target name -> codes, counts, capacities
+_CODES: dict[str, tuple[tuple, int, int, int]] = {}  # target name -> its _codes entry
 _source: tuple = (None, None)  # the last source's name and its _codes entry
 _MEMO: dict[tuple, dict[int, int]] = {}  # sub-source -> packed target -> count
 _MEMO_CAP = 1 << 20
@@ -248,10 +249,11 @@ def _clear() -> None:
     _stored = 0
 
 
-def _codes(rs: RootSystem) -> tuple[tuple, int, int]:
+def _codes(rs: RootSystem) -> tuple[tuple, int, int, int]:
     """A system's sorted codes, one per copy of each component, its packed
-    counts and its packed capacities.  A type new to the table grows it,
-    which keeps the codes and capacities of the types before it."""
+    counts, its packed capacities and its guard, bit 8c + 7 for every code
+    c up to its last.  A type new to the table grows it, which keeps the
+    codes and capacities of the types before it."""
     if rs.rank > _MAX_RANK:
         raise ValueError(f"rep_count: {rs} has rank {rs.rank}, above {_MAX_RANK}")
     codes: list[int] = []
@@ -265,12 +267,13 @@ def _codes(rs: RootSystem) -> tuple[tuple, int, int]:
         codes += [c] * mult
         counts += mult << _FIELD * c
         caps += mult * _CAPS[c]
-    return tuple(codes), counts, caps
+    guard = int.from_bytes(b"\x80" * (codes[-1] + 1 if codes else 0), "little")
+    return tuple(codes), counts, caps, guard
 
 
-def _target(rs: RootSystem) -> tuple[tuple, int, int]:
-    """A target's _codes entry, added to the cache; rep_count reads the
-    cache itself first."""
+def _target(rs: RootSystem) -> tuple[tuple, int, int, int]:
+    """A target's _codes entry, added to the cache; callers read the cache
+    itself first."""
     if len(_CODES) >= _MEMO_CAP:
         _clear()
     entry = _CODES[rs.name] = _codes(rs)
@@ -284,30 +287,29 @@ class Targets:
     __slots__ = ("_rows",)
 
     def __init__(self):
-        self._rows: list[tuple] = []  # (rank, root count, capacities, system, weight)
+        self._rows: list[tuple] = []  # (root count, capacities, system, weight)
 
     def add(self, target: RootSystem, weight: int) -> None:
-        caps = _codes(target)[2]
-        self._rows.append((target.rank, target.root_count, caps, target, weight))
+        caps = (_CODES.get(target.name) or _target(target))[2]
+        self._rows.append((target.root_count, caps, target, weight))
 
     def scale(self, k: int) -> None:
         """Multiply every weight by k."""
-        self._rows = [(rank, roots, caps, t, w * k) for rank, roots, caps, t, w in self._rows]
+        self._rows = [(roots, caps, t, w * k) for roots, caps, t, w in self._rows]
 
     def admit(self, source: RootSystem) -> list[tuple[RootSystem, int]]:
-        """The (target, weight) pairs whose target passes rep_count's rank,
-        root count and capacity tests for this source: every target that
-        source can embed in, and some it cannot."""
+        """The (target, weight) pairs whose target passes rep_count's root
+        count and capacity tests for this source: every target of rank at
+        least the source's that it can embed in, and some it cannot."""
         global _source
         if source.name != _source[0]:
             _source = source.name, _codes(source)
-        s_caps = _source[1][2]
-        guard = _GUARD  # read after the source's entry, which may grow it
-        s_rank, s_roots = source.rank, source.root_count
+        _, _, s_caps, guard = _source[1]
+        s_roots = source.root_count
         return [
             (t, w)
-            for rank, roots, caps, t, w in self._rows
-            if s_rank <= rank and s_roots <= roots and ((caps | guard) - s_caps) & guard == guard
+            for roots, caps, t, w in self._rows
+            if s_roots <= roots and ((caps | guard) - s_caps) & guard == guard
         ]
 
 
@@ -319,8 +321,8 @@ def rep_count(source: RootSystem, target: RootSystem) -> int:
     global _source
     if source.name != _source[0]:
         _source = source.name, _codes(source)
-    s, _, s_caps = _source[1]
-    t, t_counts, t_caps = _CODES.get(target.name) or _target(target)
+    s, _, s_caps, guard = _source[1]
+    t, t_counts, t_caps, _ = _CODES.get(target.name) or _target(target)
     if not s:
         return 1
     if source.rank > target.rank or source.root_count > target.root_count:
@@ -329,7 +331,7 @@ def rep_count(source: RootSystem, target: RootSystem) -> int:
     # source to orthogonal copies in the target, so the target's capacities
     # must cover the source's: a field that the source's exceeds borrows
     # its guard bit
-    if ((t_caps | _GUARD) - s_caps) & _GUARD != _GUARD:
+    if ((t_caps | guard) - s_caps) & guard != guard:
         return 0
     return _count(s, t, t_counts, source.rank, source.root_count, target.rank, target.root_count)
 

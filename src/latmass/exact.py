@@ -30,9 +30,10 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(-1, 2)
     if m % 2:
         return Fraction(0)
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(m):
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0, where B_j = 0 for odd j >= 3: the
+    # terms j = 0 and 1 add 1 - (m+1)/2, and only even j >= 2 follow
+    acc = 1 - Fraction(m + 1, 2)
+    for j in range(2, m, 2):
         acc += math.comb(m + 1, j) * bernoulli(j)
     return -acc / (m + 1)
 

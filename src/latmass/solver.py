@@ -18,6 +18,7 @@ embeddings.Targets admits.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -76,7 +77,8 @@ class MassTable:
         The masses digest lets a reader catch an edited mass even where the
         genus total cannot, in an unfinished solve.  The file is written in
         full and synced to disk before it replaces the old one, so a crash
-        leaves one table or the other, not a truncated file."""
+        leaves one table or the other, not a truncated file, and a failed
+        write (a full disk, an interrupt) removes its temporary file."""
         masses = {str(rs): str(m) for rs, m in self.rows()}
         data = {
             "version": 1,
@@ -86,22 +88,33 @@ class MassTable:
             "masses": masses,
         }
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(data, fh)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "MassTable":
-        """Read a finished table; checkpoints of unfinished solves are refused."""
+        """Read a finished table; checkpoints of unfinished solves are refused.
+        A table saved by a solve, with its run header, is handed to
+        solve_masses, which checks it against the solve list of its
+        dimension (the system count and the order digest) and returns it
+        without solving anything."""
         header, masses = _read_table(path)
-        if header.get("done") != header.get("count"):
+        if "count" not in header:
+            return cls(header["dim"], masses)
+        if header["done"] != header["count"]:
             raise CheckpointMismatch(
                 f"{path} is an unfinished solve ({header['done']} of {header['count']} systems)"
             )
-        return cls(header["dim"], masses)
+        return solve_masses(header["dim"], checkpoint=path)
 
 
 def _read_table(path: str, **run) -> tuple[dict, dict]:

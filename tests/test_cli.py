@@ -289,6 +289,20 @@ def test_from_table_refuses_unfinished_checkpoint(capsys, tmp_path):
     assert "unfinished" in err
 
 
+def test_from_table_refuses_edited_run_header(capsys, tmp_path):
+    # a finished table passes the checks a resumed solve applies: its
+    # order digest and system count against the solve list of its dimension
+    path = tmp_path / "dim8.json"
+    solve_masses(8, checkpoint=str(path))
+    good = json.loads(path.read_text())
+    assert run(capsys, "reduce", "--from-table", str(path), "--dim", "6")[0] == 0
+    for edit in ({"order_digest": "0" * 16}, {"count": 12345, "done": 12345}):
+        path.write_text(json.dumps({**good, **edit}))
+        code, _, err = run(capsys, "reduce", "--from-table", str(path), "--dim", "6")
+        assert code == 2
+        assert "does not match this run" in err
+
+
 def test_verify_subcommand(capsys, monkeypatch):
     solved = []
 

@@ -1,5 +1,6 @@
 """Embedding counts against a brute-force root enumeration oracle."""
 
+import collections
 import gc
 import hashlib
 import operator
@@ -10,6 +11,7 @@ from latmass import embeddings
 from latmass.embeddings import component_rows, rep_count
 from latmass.roots import RootSystem, component_roots, enumerate_systems, system_gram
 from latmass.siegel import eisenstein_coefficient
+from latmass.solver import solve_masses
 
 parse = RootSystem.parse
 
@@ -95,7 +97,7 @@ def test_against_brute_force():
             n = brute_rep(source, target)
             assert rep_count(source, target) == n, (str(source), tname)
             if n:
-                s_caps, guard = embeddings._codes(source)[2], embeddings._GUARD
+                s_caps, guard = embeddings._codes(source)[2:]
                 assert ((t_caps | guard) - s_caps) & guard == guard, (str(source), tname)
 
 
@@ -220,18 +222,19 @@ def test_capacity_rejects_no_embedding(table16, table24):
     # pass, the capacities compared field by field; every pair it rejects
     # counts 0 in rep_count, and one that passes the rank and root count
     # tests but fails the capacity test counts 0 in the recursion, which
-    # applies no capacity test.  rep_count's guard-bit subtraction agrees
-    # with the field comparison, and comparing the source's counts instead
-    # of its capacities rejects a subset of those pairs
-    guard = embeddings._GUARD
+    # applies no capacity test.  rep_count's guard-bit subtraction, with
+    # the source's guard, agrees with the field comparison, and comparing
+    # the source's counts instead of its capacities rejects a subset of
+    # those pairs.  No source ranks above a target solved before it
     rejected = {}
     for table in (table16, table24[0]):
         index, nonzero, by_counts, by_caps = embeddings.Targets(), [], 0, 0
         for rs in reversed(enumerate_systems(table.dim, dim=table.dim)):
-            s, s_counts, s_caps = embeddings._codes(rs)
+            s, s_counts, s_caps, guard = embeddings._codes(rs)
             admitted = []
             for t_rs, t, t_counts, t_caps, weight in nonzero:
-                if rs.rank > t_rs.rank or rs.root_count > t_rs.root_count:
+                assert rs.rank <= t_rs.rank, (rs, t_rs)
+                if rs.root_count > t_rs.root_count:
                     assert rep_count(rs, t_rs) == 0
                     continue
                 counts_fail = ((t_caps | guard) - s_counts) & guard != guard
@@ -257,23 +260,20 @@ def test_capacity_rejects_no_embedding(table16, table24):
 
 def test_admit_reads_the_guard_when_the_table_grows(monkeypatch):
     # the targets' capacities are made while the table holds types up to
-    # rank 4; A5 then grows it, and with it the guard, so capacities kept
-    # with the old guard folded in would reject every later pair
-    fresh_memo(monkeypatch)
-    for name, empty in (("_CODE", {}), ("_RANK", []), ("_ROOTS", []), ("_ROWS", []), ("_CAPS", [])):
-        monkeypatch.setattr(embeddings, name, empty)
-    monkeypatch.setattr(embeddings, "_GUARD", 0)
+    # rank 4; A5 then grows it, which must change no stored capacities:
+    # each source brings its own guard
+    fresh_table(monkeypatch)
     targets = [parse("D4^2"), parse("A1^8"), parse("A1 A3")]
     index = embeddings.Targets()
     for w, t in enumerate(targets, 1):
         index.add(t, w)
-    guard = embeddings._GUARD
+    n = len(embeddings._CAPS)
     admitted = {}
     for name in ("A5", "A1^2", "A3", "D4", "A2 A1", "0"):
         source = parse(name)
         admitted[name] = [t for t, _ in index.admit(source)]
         assert all(rep_count(source, t) == 0 for t in targets if t not in admitted[name]), name
-    assert embeddings._GUARD > guard
+    assert len(embeddings._CAPS) > n
     assert {name: [str(t) for t in ts] for name, ts in admitted.items()} == {
         "A5": [],
         "A1^2": ["D4^2", "A1^8", "A1 A3"],
@@ -293,10 +293,7 @@ def test_codes_while_the_table_grows(monkeypatch):
     embeddings._grow(12)
     full = embeddings._codes(rs)
     full_rows, full_caps = embeddings._ROWS, embeddings._CAPS
-    fresh_memo(monkeypatch)
-    for name, empty in (("_CODE", {}), ("_RANK", []), ("_ROOTS", []), ("_ROWS", []), ("_CAPS", [])):
-        monkeypatch.setattr(embeddings, name, empty)
-    monkeypatch.setattr(embeddings, "_GUARD", 0)
+    fresh_table(monkeypatch)
     grow, grown = embeddings._grow, []
     monkeypatch.setattr(embeddings, "_grow", lambda rank: grow(rank) or grown.append(rank))
     assert embeddings._codes(rs) == full
@@ -304,8 +301,58 @@ def test_codes_while_the_table_grows(monkeypatch):
     n = len(embeddings._CAPS)
     assert embeddings._CAPS == full_caps[:n]
     assert embeddings._ROWS == [row[:n] for row in full_rows[:n]]
-    assert embeddings._GUARD == sum(1 << 8 * c + 7 for c in range(n))
+    assert full[3] == sum(1 << 8 * c + 7 for c in range(n))
     assert rep_count(rs, rs) == rs.aut_order
+
+
+def test_guard_covers_each_field_up_to_the_last_code(monkeypatch):
+    # an entry's guard is bit 8c + 7 for each code c up to its last, 0 for
+    # the empty system, and the entry stands when the table grows
+    fresh_table(monkeypatch)
+    names = ["0", "A1", "A1^8", "A2", "D4", "A1^2 A3", "E8", "A1 E6"]
+    entries = {name: embeddings._codes(parse(name)) for name in names}
+    embeddings._grow(24)
+    for name, entry in entries.items():
+        codes, _, _, guard = entry
+        assert guard == sum(1 << 8 * c + 7 for c in range(max(codes, default=-1) + 1)), name
+        assert embeddings._codes(parse(name)) == entry, name
+    assert entries["0"][3] == 0
+
+
+def test_source_guard_rejects_a_field_above_the_target(monkeypatch):
+    # A2's field lies above every field of A1^8 and its rank and root count
+    # fit, so only the capacity test rejects it, and only with A2's guard:
+    # the target's guard, or one a field short, lets its field borrow out
+    # of the top of the integer unseen
+    fresh_table(monkeypatch)
+    source, target = parse("A2"), parse("A1^8")
+    s_last, t_last = (embeddings._codes(rs)[0][-1] for rs in (source, target))
+    assert s_last > t_last
+    assert source.rank <= target.rank and source.root_count <= target.root_count
+    index = embeddings.Targets()
+    index.add(target, 1)
+    assert index.admit(source) == []
+
+    def refuse(*args):
+        raise AssertionError("the pair reached the recursion")
+
+    monkeypatch.setattr(embeddings, "_count", refuse)
+    assert rep_count(source, target) == 0
+
+
+def test_solve_makes_each_entry_once(monkeypatch):
+    # a dim-16 solve never clears the memo, so each system's entry is made
+    # once as a source and a nonzero target's once more, when it is added:
+    # rep_count finds it in the code cache
+    fresh_memo(monkeypatch)
+    codes, target, made, targets = embeddings._codes, embeddings._target, [], []
+    monkeypatch.setattr(embeddings, "_codes", lambda rs: made.append(rs.name) or codes(rs))
+    monkeypatch.setattr(embeddings, "_target", lambda rs: targets.append(rs.name) or target(rs))
+    table = solve_masses(16)
+    nonzero = {rs.name for rs in table.masses}
+    assert sorted(targets) == sorted(nonzero)
+    names = [rs.name for rs in enumerate_systems(16, dim=16)]
+    assert collections.Counter(made) == {name: 1 + (name in nonzero) for name in names}
 
 
 def test_rank_limit():
@@ -327,6 +374,14 @@ def test_rank_limit():
     for flags in ((), ("-O",)):
         result = run_python(*flags, "-c", script)
         assert result.returncode == 0, (flags, result.stderr)
+
+
+def fresh_table(monkeypatch):
+    """An empty code table, memo and code cache for this test, restored
+    after it."""
+    fresh_memo(monkeypatch)
+    for name, empty in (("_CODE", {}), ("_RANK", []), ("_ROOTS", []), ("_ROWS", []), ("_CAPS", [])):
+        monkeypatch.setattr(embeddings, name, empty)
 
 
 def fresh_memo(monkeypatch, cap=None):
@@ -357,13 +412,14 @@ def test_memo_cap_clears(monkeypatch):
         sizes.append((len(memo_entries()), embeddings._stored, len(embeddings._CODES)))
         # the slot holds the current source's entry and the cache only
         # targets' (a clear inside the recursion may have dropped this
-        # one), each with its system's counts and capacities beside its
-        # codes, so the cap bounds and clears all three at once
+        # one), each with its system's counts, capacities and guard beside
+        # its codes, so the cap bounds and clears all three at once
         assert embeddings._source[0] == s.name
         assert set(embeddings._CODES) <= targets
-        for codes, counts, caps in [embeddings._source[1], *embeddings._CODES.values()]:
+        for codes, counts, caps, guard in [embeddings._source[1], *embeddings._CODES.values()]:
             assert counts == sum(1 << 8 * c for c in codes)
             assert caps == sum(embeddings._CAPS[c] for c in codes)
+            assert guard == sum(1 << 8 * c + 7 for c in range(max(codes, default=-1) + 1))
     assert got == want
     # the cap bounds the stored entries, summed over rows, and the codes
     assert all(entries == stored <= 16 and codes <= 16 for entries, stored, codes in sizes)

@@ -27,6 +27,12 @@ def test_bernoulli_numbers():
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
     assert all(bernoulli(m) == 0 for m in (3, 5, 7, 9, 11))
+    # the full recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 over every j,
+    # odd j >= 3 included
+    ref = [Fraction(1)]
+    for m in range(1, 61):
+        ref.append(-sum(math.comb(m + 1, j) * ref[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(m) for m in range(61)] == ref
 
 
 def test_generalized_bernoulli_matches_textbook_sum():

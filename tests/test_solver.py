@@ -302,6 +302,29 @@ def test_saved_table_checks(tmp_path):
         path.write_text(json.dumps({**good, key: value}))
         with pytest.raises(CheckpointMismatch, match=message):
             MassTable.load(str(path))
+    # a finished table is checked against the solve list of its dimension
+    for edit in ({"order_digest": "0" * 16}, {"count": 12345, "done": 12345}):
+        path.write_text(json.dumps({**good, **edit}))
+        with pytest.raises(CheckpointMismatch, match="does not match this run"):
+            MassTable.load(str(path))
+
+
+def test_failed_save_leaves_no_temporary_file(monkeypatch, tmp_path):
+    # a write that raises (a full disk, an interrupt) keeps the old table
+    # and removes its temporary file
+    path = tmp_path / "table.json"
+    table = solve_masses(8)
+    table.save(str(path))
+    before = path.read_text()
+
+    def failing_dump(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="No space"):
+        table.save(str(path))
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_checkpoint_with_unsolved_mass_rejected(tmp_path):
